@@ -33,7 +33,6 @@
 
 pub mod area;
 pub mod audit;
-pub mod batch;
 pub mod clock;
 pub mod experiments;
 pub mod mc;
@@ -45,13 +44,12 @@ pub mod system;
 
 pub use area::{AreaModel, ChipArea, RouterArea};
 pub use audit::{audit_grid, audit_icnt, AuditEntry, AuditReport};
-pub use batch::run_lockstep;
 pub use clock::{ClockConfig, Clocks, Domain};
 pub use mc::{McConfig, McNode, McRequest, McStats, Reply};
 pub use metrics::{arithmetic_mean, harmonic_mean, RunMetrics};
 pub use power::{HopEnergy, PowerModel};
 pub use presets::Preset;
 pub use report::SweepReport;
-pub use system::{EngineKind, IcntConfig, System, SystemConfig};
+pub use system::{IcntConfig, System, SystemConfig};
 pub use tenoc_noc::Tick;
 pub use tenoc_noc::{ArmSpec, FlightEvent, LatencyHistogram, TelemetryConfig, TelemetryReport};

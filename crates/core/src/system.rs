@@ -5,8 +5,8 @@ use crate::clock::{ClockConfig, Clocks, Domain};
 use crate::mc::{McConfig, McNode, McRequest};
 use crate::metrics::RunMetrics;
 use tenoc_noc::{
-    ArenaDoubleNetwork, ArenaNetwork, BandwidthLimitedInterconnect, DoubleNetwork, Interconnect,
-    Network, NetworkConfig, NodeId, Packet, PerfectInterconnect, Tick,
+    BandwidthLimitedInterconnect, Interconnect, NetworkConfig, NodeId, Packet, PerfectInterconnect,
+    Tick,
 };
 use tenoc_simt::{CoreConfig, KernelSpec, MemRequest, ShaderCore};
 
@@ -27,7 +27,7 @@ pub enum IcntConfig {
     Mesh(NetworkConfig),
     /// Two channel-sliced meshes (requests / replies); the carried config
     /// describes the *single-network equivalent* and is sliced via
-    /// [`DoubleNetwork::from_single`].
+    /// [`NetworkConfig::slice`].
     Double(NetworkConfig),
     /// Zero-latency, infinite-bandwidth network (limit studies).
     Perfect(NetworkConfig),
@@ -69,30 +69,33 @@ impl IcntConfig {
         }
     }
 
-    fn build(&self, engine: EngineKind) -> Box<dyn Interconnect> {
+    /// Builds the production interconnect: physical networks run on the
+    /// arena engine whenever it can pack their shape
+    /// ([`tenoc_noc::build_network`]).
+    pub(crate) fn build(&self) -> Box<dyn Interconnect> {
+        self.build_with(tenoc_noc::build_network)
+    }
+
+    /// Builds the interconnect with physical networks on the per-router
+    /// reference engine ([`tenoc_noc::build_reference_network`]), the one
+    /// that implements telemetry.
+    pub(crate) fn build_reference(&self) -> Box<dyn Interconnect> {
+        self.build_with(tenoc_noc::build_reference_network)
+    }
+
+    fn build_with(
+        &self,
+        physical: fn(&NetworkConfig, bool) -> Box<dyn Interconnect>,
+    ) -> Box<dyn Interconnect> {
         // Debug builds statically verify every network configuration they
         // are about to simulate: the auditor runs tenoc-verify's channel-
-        // dependency-graph analysis inside `Network::new` and panics with
-        // the report on any violation. Release builds skip the check.
+        // dependency-graph analysis inside both engines' constructors and
+        // panics with the report on any violation. Release builds skip
+        // the check.
         tenoc_verify::install_debug_auditor();
         match self {
-            IcntConfig::Mesh(c) => {
-                if engine == EngineKind::Arena && ArenaNetwork::supports(c) {
-                    Box::new(ArenaNetwork::new(c.clone()))
-                } else {
-                    Box::new(Network::new(c.clone()))
-                }
-            }
-            IcntConfig::Double(c) => {
-                let arena_ok = engine == EngineKind::Arena
-                    && c.channel_bytes.is_multiple_of(2)
-                    && ArenaNetwork::supports(&c.slice());
-                if arena_ok {
-                    Box::new(ArenaDoubleNetwork::from_single(c))
-                } else {
-                    Box::new(DoubleNetwork::from_single(c))
-                }
-            }
+            IcntConfig::Mesh(c) => physical(c, false),
+            IcntConfig::Double(c) => physical(c, true),
             IcntConfig::Perfect(c) => {
                 Box::new(PerfectInterconnect::new(c.mesh.len(), c.channel_bytes))
             }
@@ -101,21 +104,6 @@ impl IcntConfig {
             }
         }
     }
-}
-
-/// Which network execution engine a system simulates with. Both engines
-/// produce bit-identical results (the arena is equivalence-tested against
-/// the per-cell oracle); they differ only in memory layout and speed.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub enum EngineKind {
-    /// The per-router oracle kernel ([`Network`] / [`DoubleNetwork`]).
-    /// Required for telemetry, and the reference for equivalence tests.
-    #[default]
-    PerCell,
-    /// The flat structure-of-arrays kernel ([`ArenaNetwork`] /
-    /// [`ArenaDoubleNetwork`]); supports phase-interleaved batching.
-    /// Falls back to the oracle for shapes the arena cannot pack.
-    Arena,
 }
 
 /// Full system configuration.
@@ -140,8 +128,6 @@ pub struct SystemConfig {
     pub seed: u64,
     /// Safety limit on core cycles.
     pub max_core_cycles: u64,
-    /// Network execution engine (identical results either way).
-    pub engine: EngineKind,
 }
 
 impl SystemConfig {
@@ -160,7 +146,6 @@ impl SystemConfig {
             cores_per_node,
             seed: 0x7e0c,
             max_core_cycles: 50_000_000,
-            engine: EngineKind::PerCell,
         }
     }
 }
@@ -204,6 +189,24 @@ impl System {
     /// Panics if `specs` is empty, the network configuration is invalid or
     /// any kernel spec is out of range.
     pub fn new_mixed(cfg: SystemConfig, specs: &[KernelSpec]) -> Self {
+        let icnt = cfg.icnt.build();
+        Self::assemble(cfg, specs, icnt)
+    }
+
+    /// Builds a system like [`System::new`], but with its physical
+    /// networks on the per-router reference engine instead of the arena.
+    /// Results are bit-identical; this exists for differential checks of
+    /// the two engines and for timing one against the other.
+    ///
+    /// # Panics
+    ///
+    /// As [`System::new`].
+    pub fn new_reference(cfg: SystemConfig, spec: &KernelSpec) -> Self {
+        let icnt = cfg.icnt.build_reference();
+        Self::assemble(cfg, std::slice::from_ref(spec), icnt)
+    }
+
+    fn assemble(cfg: SystemConfig, specs: &[KernelSpec], icnt: Box<dyn Interconnect>) -> Self {
         assert!(!specs.is_empty(), "at least one kernel spec required");
         assert!(cfg.cores_per_node >= 1, "concentration must be at least 1");
         let net = cfg.icnt.net().clone();
@@ -224,7 +227,7 @@ impl System {
             .map(|_| McNode::new(cfg.mc.clone(), mc_nodes.len(), cfg.chunk))
             .collect();
         System {
-            icnt: cfg.icnt.build(cfg.engine),
+            icnt,
             staged: vec![None; core_nodes.len()],
             staged_mc: vec![None; mc_nodes.len()],
             cores,
@@ -246,7 +249,7 @@ impl System {
         ((addr / self.cfg.chunk) % self.mc_nodes.len() as u64) as usize
     }
 
-    pub(crate) fn all_done(&self) -> bool {
+    fn all_done(&self) -> bool {
         self.cores
             .iter()
             .all(|c| c.done() && c.pending_requests() == 0 && c.outstanding_fetches() == 0)
@@ -260,7 +263,7 @@ impl System {
     /// bodies and the interconnect's own [`Tick`] all hang off this single
     /// dispatch point, so every clocked component in the system moves
     /// through the same trait.
-    pub(crate) fn tick_domain(&mut self, domain: Domain) {
+    fn tick_domain(&mut self, domain: Domain) {
         match domain {
             Domain::Core => self.step_core_domain(),
             Domain::Icnt => self.step_icnt_domain(),
@@ -282,10 +285,9 @@ impl System {
 
     /// The terminal-side half of an interconnect cycle: drain replies to
     /// cores, inject core requests, and run the MC side (eject requests,
-    /// service L2, inject replies). The network's own [`Tick`] follows —
-    /// either directly ([`System::step_icnt_domain`]) or phase-interleaved
-    /// across many systems (the lockstep batch runner).
-    pub(crate) fn icnt_exchange(&mut self) {
+    /// service L2, inject replies). The network's own [`Tick`] follows in
+    /// [`System::step_icnt_domain`].
+    fn icnt_exchange(&mut self) {
         let now = self.clocks.cycles(Domain::Icnt) - 1;
         let dram_now = self.clocks.cycles(Domain::Dram);
         // Replies to cores. With concentration > 1 several cores share a
@@ -369,34 +371,6 @@ impl System {
         }
     }
 
-    /// Advances the system's clock by one edge and reports which domain it
-    /// fell in (the batch runner drives lockstep systems through this).
-    pub(crate) fn clock_tick(&mut self) -> Domain {
-        self.clocks.tick()
-    }
-
-    /// Phase count of the interconnect's cycle (see
-    /// [`Interconnect::phase_count`]).
-    pub(crate) fn icnt_phase_count(&self) -> usize {
-        self.icnt.phase_count()
-    }
-
-    /// One sub-phase of the interconnect's cycle (see
-    /// [`Interconnect::tick_phase`]).
-    pub(crate) fn icnt_tick_phase(&mut self, phase: usize) {
-        self.icnt.tick_phase(phase);
-    }
-
-    /// Core cycles elapsed so far.
-    pub(crate) fn core_cycles(&self) -> u64 {
-        self.clocks.cycles(Domain::Core)
-    }
-
-    /// The configured core-cycle safety limit.
-    pub(crate) fn max_core_cycles(&self) -> u64 {
-        self.cfg.max_core_cycles
-    }
-
     fn step_dram_domain(&mut self) {
         let now = self.clocks.cycles(Domain::Dram) - 1;
         for mc in &mut self.mcs {
@@ -430,10 +404,23 @@ impl System {
     }
 
     /// Arms the interconnect's observability layer (latency histograms,
-    /// link/VC counters, occupancy sampling, flight recorder). Call
-    /// before [`System::run`]; a no-op on ideal networks, which have
-    /// nothing to observe. Telemetry never changes simulated outcomes.
+    /// link/VC counters, occupancy sampling, flight recorder). Only the
+    /// per-router engine implements it, so this rebuilds the interconnect
+    /// there ([`System::new_reference`]'s engine); a no-op on ideal
+    /// networks, which have nothing to observe. Telemetry never changes
+    /// simulated outcomes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the system has already taken a clock edge: the rebuilt
+    /// interconnect starts empty, so it can only replace one that never
+    /// ran.
     pub fn enable_telemetry(&mut self, cfg: tenoc_noc::TelemetryConfig) {
+        assert!(
+            [Domain::Core, Domain::Icnt, Domain::Dram].iter().all(|&d| self.clocks.cycles(d) == 0),
+            "System::enable_telemetry must be called before the first clock edge"
+        );
+        self.icnt = self.cfg.icnt.build_reference();
         self.icnt.enable_telemetry(cfg);
     }
 
@@ -528,6 +515,7 @@ impl Tick for System {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::presets::Preset;
     use tenoc_simt::KernelSpec;
 
     fn tiny_spec(mem: f64) -> KernelSpec {
@@ -678,5 +666,114 @@ mod tests {
         let b = System::new(cfg, &tiny_spec(0.25)).run();
         assert_eq!(a.core_cycles, b.core_cycles);
         assert_eq!(a.scalar_insts, b.scalar_insts);
+    }
+
+    /// A baseline-mesh system on the production engine, or on the
+    /// per-router reference engine.
+    fn sys(reference: bool, seed: u64) -> System {
+        let mut cfg = SystemConfig::with_icnt(IcntConfig::Mesh(NetworkConfig::baseline_mesh(6)));
+        cfg.seed = seed;
+        let spec = tiny_spec(0.3);
+        if reference {
+            System::new_reference(cfg, &spec)
+        } else {
+            System::new(cfg, &spec)
+        }
+    }
+
+    #[test]
+    fn arena_engine_matches_oracle_engine() {
+        let a = sys(true, 7).run();
+        let b = sys(false, 7).run();
+        assert_eq!(a, b, "arena engine must be bit-identical to the oracle");
+    }
+
+    #[test]
+    fn arena_matches_oracle_on_paper_preset() {
+        let spec = tiny_spec(0.3);
+        let mut cfg = SystemConfig::with_icnt(Preset::ThroughputEffective.icnt(6));
+        cfg.max_core_cycles = 400_000;
+        let a = System::new_reference(cfg.clone(), &spec).run();
+        let b = System::new(cfg, &spec).run();
+        assert_eq!(a, b, "arena engine must match the oracle on the double-network preset");
+    }
+
+    /// Nothing silently falls back to the per-router engine: every
+    /// physical-network preset at the paper's radix packs into the arena
+    /// (the half-width slice, for double networks).
+    #[test]
+    fn every_physical_preset_runs_on_the_arena() {
+        for p in Preset::NAMED {
+            let ok = match p.icnt(6) {
+                IcntConfig::Mesh(c) => tenoc_noc::uses_arena(&c, false),
+                IcntConfig::Double(c) => tenoc_noc::uses_arena(&c, true),
+                IcntConfig::Perfect(_) | IcntConfig::BwLimited(..) => continue,
+            };
+            assert!(ok, "{} falls back to the per-router engine", p.label());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "enable_telemetry must be called before the first clock edge")]
+    fn telemetry_after_the_first_edge_panics() {
+        let mut s = sys(false, 7);
+        s.tick();
+        s.enable_telemetry(tenoc_noc::TelemetryConfig::default());
+    }
+
+    /// Per-domain wall-time breakdown of the thr-eff/RD probe on the
+    /// reference and production engines. A diagnostic, not a check: run
+    /// with `cargo test --release -p tenoc-core profile_domains -- --ignored --nocapture`.
+    #[test]
+    #[ignore]
+    fn profile_domains() {
+        use std::time::{Duration, Instant};
+        let spec = tenoc_workloads::by_name("RD").unwrap().scaled(0.2);
+        let cfg = SystemConfig::with_icnt(Preset::ThroughputEffective.icnt(6));
+        for reference in [true, false] {
+            let mut sys = if reference {
+                System::new_reference(cfg.clone(), &spec)
+            } else {
+                System::new(cfg.clone(), &spec)
+            };
+            // exchange, icnt, core, dram
+            let mut t = [Duration::ZERO; 4];
+            let mut icnt_edges = 0u64;
+            let mut check = 0u32;
+            loop {
+                let domain = sys.clocks.tick();
+                let t0 = Instant::now();
+                match domain {
+                    Domain::Icnt => {
+                        icnt_edges += 1;
+                        sys.icnt_exchange();
+                        let t1 = Instant::now();
+                        t[0] += t1 - t0;
+                        sys.icnt.tick();
+                        t[1] += t1.elapsed();
+                    }
+                    Domain::Core => {
+                        sys.step_core_domain();
+                        t[2] += t0.elapsed();
+                        check += 1;
+                        if check >= 512 {
+                            check = 0;
+                            if sys.all_done() {
+                                break;
+                            }
+                        }
+                    }
+                    Domain::Dram => {
+                        sys.step_dram_domain();
+                        t[3] += t0.elapsed();
+                    }
+                }
+            }
+            let engine = if reference { "reference" } else { "production (arena)" };
+            println!("=== {engine} engine: {icnt_edges} icnt edges");
+            for (name, d) in ["exchange", "icnt", "core", "dram"].iter().zip(t) {
+                println!("  {name:<8} {:>8.1} ms", d.as_secs_f64() * 1e3);
+            }
+        }
     }
 }

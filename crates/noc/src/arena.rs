@@ -1,30 +1,30 @@
-//! Batched structure-of-arrays execution engine.
+//! The production network engine: one physical mesh as flat
+//! structure-of-arrays slabs.
 //!
-//! [`ArenaNetwork`] is an alternative execution engine for the exact
-//! simulation that [`Network`](crate::network::Network) defines: instead of
-//! per-router `Vec<Router>` / `Vec<Vec<…>>` nesting, every piece of router
-//! state — input-VC FIFOs, per-VC credit counters, `out_vc_owner`, the
+//! [`ArenaNetwork`] executes the exact simulation that
+//! [`Network`](crate::network::Network) defines: instead of per-router
+//! `Vec<Router>` / `Vec<Vec<…>>` nesting, every piece of router state —
+//! input-VC FIFOs, per-VC credit counters, `out_vc_owner`, the
 //! round-robin arbiter pointers, NI slots, channel delay lines — lives in
 //! one contiguous index-addressed slab per kind of state. The pipeline
 //! stages then iterate over dense arrays with a per-node occupancy bitmask
 //! selecting the (input port, VC) lanes that hold flits, which is what
-//! makes the inner loops cache-dense and branch-uniform.
+//! makes the inner loops cache-dense and branch-uniform. One cycle is a
+//! single fused sweep over the active nodes (see [`Tick`] below).
 //!
 //! The arena is an *engine*, not a model: it executes the oracle's event
 //! schedule bit-exactly. Every arbiter pointer is sized by the router's
-//! actual port counts (not the slab stride), every phase visits nodes in
+//! actual port counts (not the slab stride), every stage visits nodes in
 //! the same ascending active-set order, and the RNG is consumed by the
 //! same calls in the same order — so statistics, ejection traces, cycle
 //! counts and therefore `RunRecord` fingerprints are identical to the
-//! per-cell kernel. `tests/arena_batch_equivalence.rs` pins this with
-//! proptests over random legal configurations and batch widths.
+//! per-router kernel. `tests/arena_equivalence.rs` pins this with
+//! proptests over random legal configurations.
 //!
-//! [`NetBatch`] stacks B same-shape cells (same topology/VC/buffer shape;
-//! differing seeds and traffic) and advances them in lockstep, cell-major
-//! per phase: deliver over all cells, then NI, then routers, then retire.
-//! Per-cell state never interleaves — each cell owns its slabs, RNG and
-//! `ActiveSet` — so batching is a pure scheduling transform and cannot
-//! change any cell's outcome. See DESIGN.md §15.
+//! [`build_network`](crate::build_network) picks this engine for every
+//! shape [`ArenaNetwork::supports`]; the per-router `Network` remains the
+//! telemetry engine, the fallback for shapes the arena cannot pack, and
+//! the differential reference. See DESIGN.md §15.
 
 use crate::activeset::ActiveSet;
 use crate::buffer::VcState;
@@ -118,18 +118,13 @@ struct ChFlit {
     vc: u8,
 }
 
-/// The number of phases one [`ArenaNetwork`] cycle splits into; see
-/// [`Interconnect::tick_phase`]. The arena fuses its whole cycle into a
-/// single per-node sweep (see [`ArenaNetwork::run_phase`]), so one phase
-/// is the cycle.
-pub const ARENA_PHASES: usize = 1;
-
 /// One physical mesh network, stored as flat structure-of-arrays slabs.
 ///
-/// Drop-in replacement for [`Network`](crate::network::Network) behind the
-/// [`Interconnect`] trait with bit-identical observable behavior (same
-/// stats, same ejection order, same RNG stream). Telemetry is the one
-/// unsupported feature — armed cells must run on the oracle engine.
+/// The production engine behind the [`Interconnect`] trait, with
+/// observable behavior bit-identical to [`Network`](crate::network::Network)
+/// (same stats, same ejection order, same RNG stream). Telemetry is the
+/// one unsupported feature: `System::enable_telemetry` rebuilds an armed
+/// system's interconnect on the per-router engine.
 pub struct ArenaNetwork {
     cfg: NetworkConfig,
     // --- shape (immutable after construction) ---
@@ -266,7 +261,7 @@ pub struct ArenaNetwork {
 impl ArenaNetwork {
     /// `true` if this configuration's shape fits the arena's packed
     /// representation (occupancy masks are 128-bit, ring indices 8-bit).
-    /// Unsupported shapes must run on the oracle engine.
+    /// Other shapes run on the per-router engine (see [`crate::build_network`]).
     pub fn supports(cfg: &NetworkConfig) -> bool {
         let nv = cfg.vcs.total as usize;
         let max_inject = cfg.mc_inject_ports.max(cfg.core_inject_ports);
@@ -1032,11 +1027,10 @@ impl ArenaNetwork {
             && self.flit_pending[node] == 0
             && self.credit_pending[node] == 0
     }
+}
 
-    /// Runs one of the [`ARENA_PHASES`] sub-phases of a cycle. Calling
-    /// phases `0..ARENA_PHASES` in order is exactly one [`Tick::tick`].
-    ///
-    /// The whole cycle is one fused sweep — each active node runs
+impl Tick for ArenaNetwork {
+    /// One cycle as a single fused sweep — each active node runs
     /// deliver, NI, router and retire back to back, so its masks, FIFO
     /// lanes and ring heads are touched once per cycle instead of once
     /// per stage. Fusing is bit-identical to the oracle's four global
@@ -1045,38 +1039,25 @@ impl ArenaNetwork {
     /// same-cycle pop), a pending/active-set insert (idempotent, and a
     /// freshly woken node's deliver/NI/router are all no-ops this cycle),
     /// or the due-ordered eject-credit queue (drained once up front, and
-    /// appended to in the same ascending node order the phased router
-    /// sweep used). A node retired before an upstream neighbor's router
-    /// step wakes it is re-inserted by that step's push, leaving the
-    /// same active set at cycle end.
-    pub fn run_phase(&mut self, phase: usize) {
-        let now = self.cycle;
-        match phase {
-            0 => {
-                self.return_eject_credits(now);
-                let mut i = 0;
-                while let Some(node) = self.active.next_from(i) {
-                    self.deliver_node(node, now);
-                    self.stream_ni_node(node, now);
-                    self.step_router_node(node, now);
-                    if self.node_idle(node) {
-                        self.active.remove(node);
-                    }
-                    i = node + 1;
-                }
-                self.stats.cycles += 1;
-                self.cycle += 1;
-            }
-            _ => panic!("arena cycle has {ARENA_PHASES} phases, got {phase}"),
-        }
-    }
-}
-
-impl Tick for ArenaNetwork {
+    /// appended to in the same ascending node order a staged router
+    /// sweep would use). A node retired before an upstream neighbor's
+    /// router step wakes it is re-inserted by that step's push, leaving
+    /// the same active set at cycle end.
     fn tick(&mut self) {
-        for p in 0..ARENA_PHASES {
-            self.run_phase(p);
+        let now = self.cycle;
+        self.return_eject_credits(now);
+        let mut i = 0;
+        while let Some(node) = self.active.next_from(i) {
+            self.deliver_node(node, now);
+            self.stream_ni_node(node, now);
+            self.step_router_node(node, now);
+            if self.node_idle(node) {
+                self.active.remove(node);
+            }
+            i = node + 1;
         }
+        self.stats.cycles += 1;
+        self.cycle += 1;
     }
 }
 
@@ -1150,17 +1131,9 @@ impl Interconnect for ArenaNetwork {
 
     fn enable_telemetry(&mut self, _cfg: TelemetryConfig) {
         panic!(
-            "telemetry requires the per-cell oracle engine (Network); \
-             the harness routes telemetry cells there automatically"
+            "telemetry runs on the per-router engine (Network); \
+             System::enable_telemetry rebuilds the interconnect there"
         );
-    }
-
-    fn phase_count(&self) -> usize {
-        ARENA_PHASES
-    }
-
-    fn tick_phase(&mut self, phase: usize) {
-        self.run_phase(phase);
     }
 }
 
@@ -1250,79 +1223,6 @@ impl Interconnect for ArenaDoubleNetwork {
     fn enable_telemetry(&mut self, cfg: TelemetryConfig) {
         self.request.enable_telemetry(cfg);
     }
-
-    fn phase_count(&self) -> usize {
-        2 * ARENA_PHASES
-    }
-
-    /// Phases `0..ARENA_PHASES` advance the request slice, the rest the
-    /// reply slice — the same slice order as `DoubleNetwork::tick`.
-    fn tick_phase(&mut self, phase: usize) {
-        if phase < ARENA_PHASES {
-            self.request.run_phase(phase);
-        } else {
-            self.reply.run_phase(phase - ARENA_PHASES);
-        }
-    }
-}
-
-/// B same-shape cells advanced in lockstep, cell-major per phase: phase 0
-/// of every cell, then phase 1 of every cell, and so on. Since cells share
-/// no state, this is observationally identical to ticking each cell alone —
-/// it only improves locality by keeping one phase's code hot across cells.
-pub struct NetBatch<N: Interconnect> {
-    cells: Vec<N>,
-}
-
-impl<N: Interconnect> NetBatch<N> {
-    /// Stacks `cells` into a lockstep batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cells` is empty.
-    pub fn new(cells: Vec<N>) -> Self {
-        assert!(!cells.is_empty(), "a batch needs at least one cell");
-        NetBatch { cells }
-    }
-
-    /// Number of cells.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// `true` if the batch holds no cells (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    /// Immutable access to cell `i`.
-    pub fn cell(&self, i: usize) -> &N {
-        &self.cells[i]
-    }
-
-    /// Mutable access to cell `i` (for injection and pops).
-    pub fn cell_mut(&mut self, i: usize) -> &mut N {
-        &mut self.cells[i]
-    }
-
-    /// Consumes the batch, returning the cells.
-    pub fn into_cells(self) -> Vec<N> {
-        self.cells
-    }
-}
-
-impl<N: Interconnect> Tick for NetBatch<N> {
-    /// Advances every cell by one cycle, interleaved cell-major per phase.
-    fn tick(&mut self) {
-        let phases = self.cells.iter().map(|c| c.phase_count()).max().unwrap_or(1);
-        for p in 0..phases {
-            for cell in &mut self.cells {
-                if p < cell.phase_count() {
-                    cell.tick_phase(p);
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1394,82 +1294,5 @@ mod tests {
         let mut sliced = cfg.slice();
         sliced.mc_inject_ports = 4;
         assert_twin(sliced, 200);
-    }
-
-    #[test]
-    fn phase_ticking_equals_whole_ticking() {
-        let cfg = NetworkConfig::baseline_mesh(4);
-        let mut whole = ArenaNetwork::new(cfg.clone());
-        let mut phased = ArenaNetwork::new(cfg);
-        for i in 0..200u64 {
-            let src = (i as usize * 5) % 16;
-            let dst = (src + 3) % 16;
-            let p = Packet::request(src, dst, 64, i);
-            let _ = whole.try_inject(src, p);
-            let _ = phased.try_inject(src, p);
-            whole.tick();
-            for ph in 0..phased.phase_count() {
-                phased.tick_phase(ph);
-            }
-            assert_eq!(whole.in_flight(), phased.in_flight());
-            for node in 0..16 {
-                loop {
-                    let a = whole.pop(node);
-                    assert_eq!(a, phased.pop(node));
-                    if a.is_none() {
-                        break;
-                    }
-                }
-            }
-        }
-        assert_eq!(whole.stats(), phased.stats());
-    }
-
-    #[test]
-    fn batch_cells_match_solo_runs() {
-        let mk = |seed: u64| {
-            let mut cfg = NetworkConfig::baseline_mesh(4);
-            cfg.seed = seed;
-            ArenaDoubleNetwork::from_single(&cfg)
-        };
-        let drive = |net: &mut ArenaDoubleNetwork, salt: u64, i: u64| {
-            let t = i + salt;
-            let src = (t as usize * 7) % 16;
-            let dst = (t as usize * 11 + 1) % 16;
-            if src != dst {
-                let _ = net.try_inject(src, Packet::request(src, dst, 8, t));
-                let _ = net.try_inject(dst, Packet::reply(dst, src, 64, t));
-            }
-        };
-        // Solo runs.
-        let solo: Vec<NetStats> = (0..3u64)
-            .map(|c| {
-                let mut net = mk(c);
-                for i in 0..250 {
-                    drive(&mut net, c * 1000, i);
-                    net.tick();
-                    for node in 0..16 {
-                        while net.pop(node).is_some() {}
-                    }
-                }
-                net.stats()
-            })
-            .collect();
-        // Batched lockstep.
-        let mut batch = NetBatch::new((0..3u64).map(mk).collect());
-        for i in 0..250 {
-            for c in 0..3u64 {
-                drive(batch.cell_mut(c as usize), c * 1000, i);
-            }
-            batch.tick();
-            for c in 0..3 {
-                for node in 0..16 {
-                    while batch.cell_mut(c).pop(node).is_some() {}
-                }
-            }
-        }
-        for (c, want) in solo.iter().enumerate() {
-            assert_eq!(&batch.cell(c).stats(), want, "cell {c} diverged in batch");
-        }
     }
 }

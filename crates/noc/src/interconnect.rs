@@ -1,6 +1,10 @@
 //! The interface between the compute/memory system and any interconnect
-//! implementation (real mesh, double network, or idealized models).
+//! implementation (real mesh, double network, or idealized models), and
+//! the one place that decides which engine simulates a physical network.
 
+use crate::arena::{ArenaDoubleNetwork, ArenaNetwork};
+use crate::config::NetworkConfig;
+use crate::network::{DoubleNetwork, Network};
 use crate::packet::{EjectedPacket, Packet};
 use crate::stats::NetStats;
 use crate::telemetry::{TelemetryConfig, TelemetryReport};
@@ -9,8 +13,10 @@ use crate::types::NodeId;
 
 /// A network as seen from its terminals.
 ///
-/// Implementations: [`crate::Network`] (single physical mesh),
-/// [`crate::DoubleNetwork`] (two channel-sliced meshes),
+/// Implementations: [`crate::ArenaNetwork`] / [`crate::ArenaDoubleNetwork`]
+/// (the production engine for one mesh / two channel-sliced meshes),
+/// [`crate::Network`] / [`crate::DoubleNetwork`] (the per-router engine
+/// for the same two),
 /// [`crate::PerfectInterconnect`] (zero latency, infinite bandwidth) and
 /// [`crate::BandwidthLimitedInterconnect`] (zero latency, capped aggregate
 /// bandwidth).
@@ -75,22 +81,50 @@ pub trait Interconnect: Tick {
         self.telemetry_reports_into(&mut out);
         out
     }
+}
 
-    /// Number of sub-phases one [`Tick::tick`] splits into. Engines that
-    /// support phase-interleaved batching (the arena) report their phase
-    /// count; monolithic engines report 1.
-    fn phase_count(&self) -> usize {
-        1
+/// `true` when [`build_network`] runs `cfg` on the arena engine: the
+/// physical shape — `cfg` itself, or its half-width slice when `sliced`
+/// asks for the double network equivalent to `cfg` — fits the arena's
+/// packed slabs ([`ArenaNetwork::supports`]).
+pub fn uses_arena(cfg: &NetworkConfig, sliced: bool) -> bool {
+    if sliced {
+        ArenaNetwork::supports(&cfg.slice())
+    } else {
+        ArenaNetwork::supports(cfg)
     }
+}
 
-    /// Runs one sub-phase of a cycle. Calling phases `0..phase_count()`
-    /// in order is exactly one [`Tick::tick`]; a batch driver interleaves
-    /// the same phase across cells (cell-major) for cache density. The
-    /// default maps phase 0 to a whole tick so monolithic engines work
-    /// under a phase-driving caller unchanged.
-    fn tick_phase(&mut self, phase: usize) {
-        if phase == 0 {
-            self.tick();
-        }
+/// Builds the production engine for `cfg`, or for the channel-sliced
+/// double network equivalent to `cfg` when `sliced` is set: the arena
+/// whenever [`uses_arena`] holds, the per-router engine otherwise. Both
+/// engines produce bit-identical results, so the choice never shows in
+/// a simulated outcome.
+///
+/// # Panics
+///
+/// Panics if `cfg` fails validation, or if `sliced` is set and the
+/// channel width is odd.
+pub fn build_network(cfg: &NetworkConfig, sliced: bool) -> Box<dyn Interconnect> {
+    match (sliced, uses_arena(cfg, sliced)) {
+        (false, true) => Box::new(ArenaNetwork::new(cfg.clone())),
+        (true, true) => Box::new(ArenaDoubleNetwork::from_single(cfg)),
+        _ => build_reference_network(cfg, sliced),
+    }
+}
+
+/// Builds the per-router reference engine ([`Network`], or
+/// [`DoubleNetwork`] when `sliced` is set) for any shape. Its uses are
+/// telemetry, which only it implements, shapes the arena cannot pack,
+/// and differential checks of the arena against it.
+///
+/// # Panics
+///
+/// As [`build_network`].
+pub fn build_reference_network(cfg: &NetworkConfig, sliced: bool) -> Box<dyn Interconnect> {
+    if sliced {
+        Box::new(DoubleNetwork::from_single(cfg))
+    } else {
+        Box::new(Network::new(cfg.clone()))
     }
 }

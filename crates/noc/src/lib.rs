@@ -21,6 +21,10 @@
 //! * Idealized interconnect models used in the paper's limit studies:
 //!   a perfect network and a zero-latency, aggregate-bandwidth-limited
 //!   network ([`ideal`]).
+//! * Two engines for the same simulation: the flat structure-of-arrays
+//!   [`arena`] kernel, which [`build_network`] picks for every shape it
+//!   can pack, and the per-router [`network`] kernel, which carries
+//!   telemetry and serves as the arena's differential reference.
 //! * An open-loop traffic harness for latency/throughput curves under
 //!   many-to-few-to-many traffic ([`openloop`]), reproducing Figure 21.
 //!
@@ -67,10 +71,10 @@ pub mod topology;
 pub mod types;
 
 pub use activeset::ActiveSet;
-pub use arena::{ArenaDoubleNetwork, ArenaNetwork, NetBatch, ARENA_PHASES};
+pub use arena::{ArenaDoubleNetwork, ArenaNetwork};
 pub use config::{AllocatorKind, NetworkConfig, RouterTiming, RoutingKind, VcLayout};
 pub use ideal::{BandwidthLimitedInterconnect, PerfectInterconnect};
-pub use interconnect::Interconnect;
+pub use interconnect::{build_network, build_reference_network, uses_arena, Interconnect};
 pub use network::{DoubleNetwork, Network};
 pub use packet::{EjectedPacket, Flit, Packet, PacketClass, PacketHeader, Phase};
 pub use routing::{OutPort, RouteDecision, VcSet};

@@ -1,5 +1,10 @@
 //! A complete single physical network (routers + channels + network
 //! interfaces), and the channel-sliced double network.
+//!
+//! This is the per-router engine. Production cells run on the
+//! bit-identical [`arena`](crate::arena) kernel instead; this one serves
+//! telemetry, shapes the arena cannot pack, and differential checks of
+//! the arena against it (see [`crate::build_network`]).
 
 use crate::activeset::ActiveSet;
 use crate::channel::Channel;

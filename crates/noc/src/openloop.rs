@@ -7,15 +7,12 @@
 //! including source queueing, so the curves exhibit the classic saturation
 //! blow-up as offered load approaches network capacity.
 //!
-//! The harness comes in two shapes over one core: [`run_open_loop`] /
-//! [`run_open_loop_on`] drive a single probe to completion, while
-//! [`OpenLoopProbe`] exposes the same per-cycle loop one `tick` at a
-//! time so a batch driver ([`run_probes_lockstep`]) can interleave many
-//! probes — e.g. the tuner's stage-2 probe groups on the arena engine.
+//! [`run_open_loop`] runs a probe on the production engine
+//! ([`build_network`]); [`run_open_loop_on`] runs it on a caller-built
+//! network, e.g. a double network or a per-router one to observe.
 
 use crate::config::NetworkConfig;
-use crate::interconnect::Interconnect;
-use crate::network::Network;
+use crate::interconnect::{build_network, Interconnect};
 use crate::packet::Packet;
 use crate::types::NodeId;
 use rand::rngs::SmallRng;
@@ -141,20 +138,21 @@ impl OpenLoopResult {
 ///
 /// Panics if the configuration has no MC nodes or fails validation.
 pub fn run_open_loop(cfg: &OpenLoopConfig) -> OpenLoopResult {
-    let mut net = Network::new(cfg.net.clone());
-    run_open_loop_on(cfg, &mut net)
+    run_open_loop_on(cfg, &mut *build_network(&cfg.net, false))
 }
 
-/// Runs one open-loop simulation on a caller-provided network, so the
-/// caller can observe the fabric afterwards — arm telemetry beforehand
-/// ([`Network::arm_telemetry`]) or read [`Network::link_loads`] after the
-/// run. The network must be freshly built from `cfg.net` (the traffic
-/// generator addresses `cfg.net`'s compute and MC nodes).
+/// Runs one open-loop simulation on a caller-provided network: the
+/// channel-sliced double network of `cfg.net`, or a fabric the caller
+/// observes — arm telemetry beforehand
+/// ([`Network::arm_telemetry`](crate::Network::arm_telemetry)) or read
+/// link loads after the run. The network must be freshly built from
+/// `cfg.net` (the traffic generator addresses `cfg.net`'s compute and MC
+/// nodes).
 ///
 /// # Panics
 ///
 /// Panics if the configuration has no MC nodes.
-pub fn run_open_loop_on(cfg: &OpenLoopConfig, net: &mut Network) -> OpenLoopResult {
+pub fn run_open_loop_on(cfg: &OpenLoopConfig, net: &mut dyn Interconnect) -> OpenLoopResult {
     let mut core = ProbeCore::new(cfg);
     while !core.done() {
         core.tick(cfg, net);
@@ -164,10 +162,7 @@ pub fn run_open_loop_on(cfg: &OpenLoopConfig, net: &mut Network) -> OpenLoopResu
 
 /// The traffic-generation and accounting state of one open-loop probe,
 /// independent of which [`Interconnect`] implementation it drives. One
-/// [`tick`](ProbeCore::tick) is exactly one loop iteration of the
-/// original monolithic runner, so any interleaving of whole ticks across
-/// probes reproduces the solo results bit for bit (probes share no
-/// state).
+/// [`tick`](ProbeCore::tick) is one simulated cycle.
 struct ProbeCore {
     mcs: Vec<NodeId>,
     compute: Vec<NodeId>,
@@ -335,81 +330,6 @@ impl ProbeCore {
     }
 }
 
-/// One open-loop probe bundled with the network it drives, advanced one
-/// cycle at a time so a batch driver can interleave many probes. The
-/// network must be freshly built from `cfg.net` (the traffic generator
-/// addresses `cfg.net`'s compute and MC nodes). Probes share no state,
-/// so any whole-tick interleaving — solo, round-robin, lockstep — yields
-/// bit-identical results for every probe.
-pub struct OpenLoopProbe<I> {
-    cfg: OpenLoopConfig,
-    core: ProbeCore,
-    net: I,
-}
-
-impl<I: Interconnect> OpenLoopProbe<I> {
-    /// Wraps a probe around a freshly-built network.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration has no MC nodes.
-    pub fn new(cfg: OpenLoopConfig, net: I) -> Self {
-        let core = ProbeCore::new(&cfg);
-        OpenLoopProbe { cfg, core, net }
-    }
-
-    /// `true` once warmup + measurement + drain have all elapsed.
-    pub fn done(&self) -> bool {
-        self.core.done()
-    }
-
-    /// Advances the probe by one cycle (a no-op once done).
-    pub fn tick(&mut self) {
-        if !self.core.done() {
-            self.core.tick(&self.cfg, &mut self.net);
-        }
-    }
-
-    /// The probe's result so far (final once [`done`](Self::done)).
-    pub fn result(&self) -> OpenLoopResult {
-        self.core.result(&self.cfg)
-    }
-
-    /// The network under test (e.g. to read link loads after the run).
-    pub fn network(&self) -> &I {
-        &self.net
-    }
-}
-
-/// Advances a group of probes to completion in bounded lockstep rounds
-/// and returns their results in input order. Intended for same-shape
-/// groups batched on the arena engine, where interleaving keeps the
-/// per-shape routing/geometry tables hot; correctness does not depend on
-/// grouping, and the results are bit-identical to running each probe
-/// solo (probes share no state).
-pub fn run_probes_lockstep<I: Interconnect>(
-    probes: &mut [OpenLoopProbe<I>],
-) -> Vec<OpenLoopResult> {
-    /// Cycles each probe advances per round before the driver moves on.
-    const ROUND_CYCLES: u64 = 1024;
-    loop {
-        let mut advanced = false;
-        for p in probes.iter_mut() {
-            for _ in 0..ROUND_CYCLES {
-                if p.done() {
-                    break;
-                }
-                p.tick();
-                advanced = true;
-            }
-        }
-        if !advanced {
-            break;
-        }
-    }
-    probes.iter().map(|p| p.result()).collect()
-}
-
 fn pick_mc<R: Rng>(mcs: &[NodeId], pattern: TrafficPattern, rng: &mut R) -> NodeId {
     match pattern {
         TrafficPattern::UniformRandom => mcs[rng.gen_range(0..mcs.len())],
@@ -450,7 +370,6 @@ pub fn latency_curve(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arena::ArenaNetwork;
     use crate::config::NetworkConfig;
 
     fn quick_cfg(rate: f64) -> OpenLoopConfig {
@@ -551,50 +470,17 @@ mod tests {
             && a.delivered_fraction == b.delivered_fraction
     }
 
-    /// The per-cycle probe is the same loop as the monolithic runner:
-    /// ticking one probe to completion reproduces `run_open_loop`
-    /// bit for bit.
+    /// The production engine and the per-router reference produce the
+    /// same probe result, single and channel-sliced.
     #[test]
-    fn probe_matches_monolithic_runner() {
-        let cfg = quick_cfg(0.02);
-        let solo = run_open_loop(&cfg);
-        let mut probe = OpenLoopProbe::new(cfg.clone(), Network::new(cfg.net.clone()));
-        while !probe.done() {
-            probe.tick();
-        }
-        assert!(results_eq(&solo, &probe.result()), "{solo:?} vs {:?}", probe.result());
-    }
-
-    /// Probes share no state: lockstep interleaving of several probes
-    /// (different rates, one shape) equals each probe run solo, and the
-    /// arena engine equals the oracle network.
-    #[test]
-    fn lockstep_probes_match_solo_and_arena_matches_oracle() {
-        let rates = [0.01, 0.03, 0.06];
-        let solo: Vec<OpenLoopResult> =
-            rates.iter().map(|&r| run_open_loop(&quick_cfg(r))).collect();
-        let mut oracle_probes: Vec<OpenLoopProbe<Network>> = rates
-            .iter()
-            .map(|&r| {
-                let cfg = quick_cfg(r);
-                OpenLoopProbe::new(cfg.clone(), Network::new(cfg.net.clone()))
-            })
-            .collect();
-        let batched = run_probes_lockstep(&mut oracle_probes);
-        for (s, b) in solo.iter().zip(&batched) {
-            assert!(results_eq(s, b), "lockstep diverged: {s:?} vs {b:?}");
-        }
-
+    fn arena_probe_matches_reference() {
+        use crate::interconnect::build_reference_network;
         let cfg = quick_cfg(0.03);
-        assert!(ArenaNetwork::supports(&cfg.net), "baseline mesh is arena-eligible");
-        let mut arena_probes =
-            vec![OpenLoopProbe::new(cfg.clone(), ArenaNetwork::new(cfg.net.clone()))];
-        let arena = run_probes_lockstep(&mut arena_probes);
-        assert!(
-            results_eq(&solo[1], &arena[0]),
-            "arena probe diverged from oracle: {:?} vs {:?}",
-            solo[1],
-            arena[0]
-        );
+        for sliced in [false, true] {
+            assert!(crate::uses_arena(&cfg.net, sliced), "baseline mesh is arena-eligible");
+            let arena = run_open_loop_on(&cfg, &mut *build_network(&cfg.net, sliced));
+            let oracle = run_open_loop_on(&cfg, &mut *build_reference_network(&cfg.net, sliced));
+            assert!(results_eq(&arena, &oracle), "sliced={sliced}: {arena:?} vs {oracle:?}");
+        }
     }
 }

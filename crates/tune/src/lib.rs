@@ -18,9 +18,9 @@
 //!   audit's static throughput-effectiveness score (many-to-few
 //!   saturation bound per mm²) and the best are promoted.
 //! - **Stage 2 — open-loop probes (medium):** promoted candidates are
-//!   probed at a few injection rates around their static bound, all
-//!   probes of one candidate advancing in lockstep; the measured
-//!   steady-state ejection rate per mm² decides promotion.
+//!   probed at a few injection rates around their static bound on the
+//!   same engine their closed-loop cells use; the measured steady-state
+//!   ejection rate per mm² decides promotion.
 //! - **Stage 3 — closed-loop halving (expensive):** survivors race
 //!   through a successive-halving ladder of full closed-loop benchmark
 //!   simulations, with results memoized through `tenoc-serve`'s
@@ -54,10 +54,8 @@ use tenoc_core::experiments::run_traced_with_system_config;
 use tenoc_core::{audit_icnt, harmonic_mean, AuditEntry, Preset, SystemConfig, TelemetryConfig};
 use tenoc_harness::pool::run_indexed;
 use tenoc_harness::{run_config_cells, ConfigCell};
-use tenoc_noc::openloop::{
-    run_probes_lockstep, OpenLoopConfig, OpenLoopProbe, OpenLoopResult, TrafficPattern,
-};
-use tenoc_noc::{ArenaDoubleNetwork, ArenaNetwork, DoubleNetwork, Network, RoutingKind};
+use tenoc_noc::openloop::{run_open_loop_on, OpenLoopConfig, OpenLoopResult, TrafficPattern};
+use tenoc_noc::{build_network, RoutingKind};
 use tenoc_serve::{config_cell_key, CachedCell, DiskCache};
 use tenoc_verify::load::TrafficMatrix;
 
@@ -73,7 +71,7 @@ pub struct OrgAxis {
 
 /// The search specification: grid axes plus stage knobs. Everything that
 /// shapes the report lives here; everything about *how fast* the search
-/// runs (worker count, batching, caching) lives in [`TuneOptions`].
+/// runs (worker count, caching) lives in [`TuneOptions`].
 #[derive(Clone, Debug)]
 pub struct TuneSpec {
     /// Mesh radix.
@@ -143,6 +141,37 @@ impl TuneSpec {
         }
     }
 
+    /// Every grid point in enumeration order: organization, routing, VC
+    /// count, VC depth, channel width, slicing, MC ports, outermost first.
+    pub fn points(&self) -> Vec<Point> {
+        let mut out = Vec::new();
+        for axis in &self.axes {
+            for &routing in &axis.routings {
+                for &vc_total in &self.vc_totals {
+                    for &vc_depth in &self.vc_depths {
+                        for &channel_bytes in &self.channel_bytes {
+                            for &double in &self.slicings {
+                                for &[mc_inject, mc_eject] in &self.mc_ports {
+                                    out.push(Point {
+                                        org: axis.org,
+                                        routing,
+                                        vc_total,
+                                        vc_depth,
+                                        channel_bytes,
+                                        double,
+                                        mc_inject,
+                                        mc_eject,
+                                    });
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
     /// A deliberately small search for tests: two organizations, one
     /// rung, tiny probe windows — but still containing the paper's
     /// throughput-effective point. 16 grid points.
@@ -171,13 +200,11 @@ impl TuneSpec {
 }
 
 /// Execution knobs that must not change a single report byte: worker
-/// count, lockstep batch size, and result caching.
+/// count and result caching.
 #[derive(Clone, Debug)]
 pub struct TuneOptions {
     /// Worker threads for every parallel stage.
     pub jobs: usize,
-    /// Lockstep batch size for same-shape closed-loop cells.
-    pub batch: usize,
     /// Directory of a persistent result cache shared with `tenoc serve`
     /// (cells are keyed by canonical content address, so re-runs and
     /// preset sweeps are memoized across processes).
@@ -186,7 +213,7 @@ pub struct TuneOptions {
 
 impl Default for TuneOptions {
     fn default() -> Self {
-        TuneOptions { jobs: 1, batch: 8, cache_dir: None }
+        TuneOptions { jobs: 1, cache_dir: None }
     }
 }
 
@@ -256,7 +283,7 @@ fn probe_candidate(
     let base = cand.icnt.net().clone();
     let double = matches!(cand.icnt, tenoc_core::IcntConfig::Double(_));
     let [warmup, measure, drain] = spec.probe_windows;
-    let cfgs: Vec<OpenLoopConfig> = rates
+    let results = rates
         .iter()
         .enumerate()
         .map(|(i, &rate)| {
@@ -265,52 +292,9 @@ fn probe_candidate(
             cfg.measure = measure;
             cfg.drain = drain;
             cfg.seed = probe_seed(spec.seed, &cand.config_hash, i);
-            cfg
+            run_open_loop_on(&cfg, &mut *build_network(&base, double))
         })
         .collect();
-    // Engine choice mirrors `IcntConfig::build_interconnect`: the arena
-    // engine when the (sliced, for doubles) config is arena-eligible,
-    // the oracle network otherwise. The choice is a pure function of the
-    // config, so it cannot perturb determinism.
-    let results = if double {
-        if base.channel_bytes.is_multiple_of(2) && ArenaNetwork::supports(&base.slice()) {
-            let mut probes: Vec<OpenLoopProbe<ArenaDoubleNetwork>> = cfgs
-                .into_iter()
-                .map(|cfg| {
-                    let net = ArenaDoubleNetwork::from_single(&cfg.net);
-                    OpenLoopProbe::new(cfg, net)
-                })
-                .collect();
-            run_probes_lockstep(&mut probes)
-        } else {
-            let mut probes: Vec<OpenLoopProbe<DoubleNetwork>> = cfgs
-                .into_iter()
-                .map(|cfg| {
-                    let net = DoubleNetwork::from_single(&cfg.net);
-                    OpenLoopProbe::new(cfg, net)
-                })
-                .collect();
-            run_probes_lockstep(&mut probes)
-        }
-    } else if ArenaNetwork::supports(&base) {
-        let mut probes: Vec<OpenLoopProbe<ArenaNetwork>> = cfgs
-            .into_iter()
-            .map(|cfg| {
-                let net = ArenaNetwork::new(cfg.net.clone());
-                OpenLoopProbe::new(cfg, net)
-            })
-            .collect();
-        run_probes_lockstep(&mut probes)
-    } else {
-        let mut probes: Vec<OpenLoopProbe<Network>> = cfgs
-            .into_iter()
-            .map(|cfg| {
-                let net = Network::new(cfg.net.clone());
-                OpenLoopProbe::new(cfg, net)
-            })
-            .collect();
-        run_probes_lockstep(&mut probes)
-    };
     (rates, results)
 }
 
@@ -339,7 +323,7 @@ fn pareto_indices(finalists: &[Finalist]) -> Vec<usize> {
 /// Runs the staged search and returns the frontier report plus the
 /// execution counters that deliberately stay out of it.
 ///
-/// The report is bit-identical at any `jobs`/`batch` value and with any
+/// The report is bit-identical at any `jobs` value and with any
 /// cache state (cold, warm, or absent).
 ///
 /// # Errors
@@ -360,50 +344,23 @@ pub fn run_tune(spec: &TuneSpec, opts: &TuneOptions) -> std::io::Result<(TuneRep
     let mut enumerated: u64 = 0;
     let mut unconstructible: u64 = 0;
     let mut cands: Vec<Candidate> = Vec::new();
-    for axis in &spec.axes {
-        for &routing in &axis.routings {
-            for &vc_total in &spec.vc_totals {
-                for &vc_depth in &spec.vc_depths {
-                    for &channel_bytes in &spec.channel_bytes {
-                        for &double in &spec.slicings {
-                            for &[mc_inject, mc_eject] in &spec.mc_ports {
-                                let p = Point {
-                                    org: axis.org,
-                                    routing,
-                                    vc_total,
-                                    vc_depth,
-                                    channel_bytes,
-                                    double,
-                                    mc_inject,
-                                    mc_eject,
-                                };
-                                enumerated += 1;
-                                match p.build(spec.k) {
-                                    Ok(icnt) => {
-                                        let config_hash = config_hash(&icnt);
-                                        cands.push(Candidate {
-                                            name: p.name(),
-                                            family: p.family(),
-                                            icnt,
-                                            config_hash,
-                                            aliases: Vec::new(),
-                                            pinned: false,
-                                        });
-                                    }
-                                    Err(witness) => {
-                                        unconstructible += 1;
-                                        push_rejection(
-                                            &mut rejections,
-                                            "unconstructible",
-                                            vec![witness],
-                                            &p.name(),
-                                        );
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
+    for p in spec.points() {
+        enumerated += 1;
+        match p.build(spec.k) {
+            Ok(icnt) => {
+                let config_hash = config_hash(&icnt);
+                cands.push(Candidate {
+                    name: p.name(),
+                    family: p.family(),
+                    icnt,
+                    config_hash,
+                    aliases: Vec::new(),
+                    pinned: false,
+                });
+            }
+            Err(witness) => {
+                unconstructible += 1;
+                push_rejection(&mut rejections, "unconstructible", vec![witness], &p.name());
             }
         }
     }
@@ -592,7 +549,7 @@ pub fn run_tune(spec: &TuneSpec, opts: &TuneOptions) -> std::io::Result<(TuneRep
         stats.stage3_cache_hits += metrics.iter().filter(|m| m.is_some()).count();
         let miss: Vec<usize> = (0..cells.len()).filter(|&j| metrics[j].is_none()).collect();
         let miss_cells: Vec<ConfigCell> = miss.iter().map(|&j| cells[j].clone()).collect();
-        let fresh = run_config_cells(&miss_cells, jobs, opts.batch);
+        let fresh = run_config_cells(&miss_cells, jobs);
         for (&j, &(class, m)) in miss.iter().zip(fresh.iter()) {
             metrics[j] = Some(m);
             if let Some(c) = cache.as_mut() {
@@ -753,9 +710,9 @@ mod tests {
     #[test]
     fn tiny_search_is_deterministic_across_jobs_and_finds_thr_eff() {
         let spec = TuneSpec::tiny();
-        let (a, _) = run_tune(&spec, &TuneOptions { jobs: 1, batch: 1, cache_dir: None }).unwrap();
-        let (b, _) = run_tune(&spec, &TuneOptions { jobs: 4, batch: 8, cache_dir: None }).unwrap();
-        assert_eq!(a.to_json(), b.to_json(), "report must be byte-identical at any jobs/batch");
+        let (a, _) = run_tune(&spec, &TuneOptions { jobs: 1, cache_dir: None }).unwrap();
+        let (b, _) = run_tune(&spec, &TuneOptions { jobs: 4, cache_dir: None }).unwrap();
+        assert_eq!(a.to_json(), b.to_json(), "report must be byte-identical at any jobs");
         assert!(
             a.frontier_has_alias("Thr-Eff"),
             "tiny search must rediscover the throughput-effective point; frontier: {:?}",
@@ -776,7 +733,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("tenoc-tune-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let spec = TuneSpec::tiny();
-        let cold_opts = TuneOptions { jobs: 2, batch: 4, cache_dir: Some(dir.clone()) };
+        let cold_opts = TuneOptions { jobs: 2, cache_dir: Some(dir.clone()) };
         let (cold, cold_stats) = run_tune(&spec, &cold_opts).unwrap();
         let (warm, warm_stats) = run_tune(&spec, &cold_opts).unwrap();
         assert_eq!(cold.to_json(), warm.to_json());
@@ -797,5 +754,22 @@ mod tests {
             .find(|n| n.preset == "TB-DOR")
             .expect("baseline is a named point");
         assert_eq!(baseline.stage_reached, "finalist", "pinned points ride every stage");
+    }
+
+    /// Nothing in the default search silently falls back to the
+    /// per-router engine: every point that constructs (a superset of the
+    /// legal ones) packs into the arena, the half-width slice for double
+    /// networks.
+    #[test]
+    fn every_default_point_runs_on_the_arena() {
+        let spec = TuneSpec::default_at(6);
+        let mut built = 0;
+        for p in spec.points() {
+            let Ok(icnt) = p.build(spec.k) else { continue };
+            let double = matches!(icnt, tenoc_core::IcntConfig::Double(_));
+            assert!(tenoc_noc::uses_arena(icnt.net(), double), "{} falls back", p.name());
+            built += 1;
+        }
+        assert!(built > 0);
     }
 }

@@ -4,19 +4,19 @@
 //! tenoc run --benchmark RD --preset thr-eff [--scale 0.2] [--json]
 //! tenoc suite --preset baseline [--scale 0.12] [--json]
 //! tenoc sweep [--presets baseline,thr-eff|all] [--benchmarks HIS,MM|smoke|all]
-//!             [--scale 0.12] [--seed N] [--jobs N] [--batch B] [--out FILE]
+//!             [--scale 0.12] [--seed N] [--jobs N] [--out FILE]
 //!             [--telemetry] [--tiny] [--golden FILE --check|--bless]
 //! tenoc trace --preset thr-eff [--benchmark RD] [--scale F] [--out DIR]
 //!             [--flight-cap N] [--node N] [--class request|reply]
 //! tenoc audit [--k N] [--out FILE] [--json] [--golden FILE --check|--bless]
-//! tenoc tune [--k N] [--tiny] [--jobs N] [--batch B] [--scale F] [--seed N]
+//! tenoc tune [--k N] [--tiny] [--jobs N] [--scale F] [--seed N]
 //!            [--cache DIR] [--out FILE] [--json] [--golden FILE --check|--bless]
-//! tenoc serve [--addr HOST:PORT] [--cache DIR] [--jobs N] [--batch B]
+//! tenoc serve [--addr HOST:PORT] [--cache DIR] [--jobs N]
 //! tenoc submit [--addr HOST:PORT] [--tenant NAME] [--tiny]
 //!              [--presets A,B] [--benchmarks X,Y] [--scale F] [--seed N]
 //!              [--out FILE] [--require-cached] | --stats [--out FILE]
 //! tenoc openloop --preset cp-cr-2p [--hotspot] [--rates 0.01..0.12]
-//! tenoc engine-bench [--preset NAME] [--k N] [--scale F] [--batch N] [--out FILE]
+//! tenoc engine-bench [--preset NAME] [--k N] [--scale F] [--out FILE]
 //! tenoc area
 //! tenoc classify [--scale 0.12]
 //! tenoc list
@@ -28,7 +28,7 @@
 use std::collections::HashMap;
 use std::process::ExitCode;
 use tenoc::core::area::{throughput_effectiveness, AreaModel};
-use tenoc::core::experiments::{run_benchmark, run_suite, run_with_icnt, scale_from_env};
+use tenoc::core::experiments::{run_benchmark, run_suite, scale_from_env};
 use tenoc::core::presets::Preset;
 use tenoc::core::SweepReport;
 use tenoc::noc::openloop::{run_open_loop, OpenLoopConfig, TrafficPattern};
@@ -65,7 +65,7 @@ fn usage() -> ExitCode {
            run       --benchmark <ABBR> --preset <NAME> [--scale F] [--json]\n\
            suite     --preset <NAME> [--scale F] [--json]\n\
            sweep     [--presets A,B|all] [--benchmarks X,Y|smoke|all] [--scale F]\n\
-                     [--seed N] [--jobs N] [--batch B] [--out FILE] [--telemetry]\n\
+                     [--seed N] [--jobs N] [--out FILE] [--telemetry]\n\
                      [--tiny] [--golden FILE --check|--bless]\n\
            trace     --preset <NAME> [--benchmark <ABBR>] [--scale F] [--out DIR]\n\
                      [--flight-cap N] [--node N] [--class request|reply]\n\
@@ -73,13 +73,13 @@ fn usage() -> ExitCode {
                       flight recorder -> trace.json + flight.jsonl)\n\
            audit     [--k N] [--out FILE] [--json] [--golden FILE --check|--bless]\n\
                      (static config-space audit: verify, bound, price, rank)\n\
-           tune      [--k N] [--tiny] [--jobs N] [--batch B] [--scale F]\n\
+           tune      [--k N] [--tiny] [--jobs N] [--scale F]\n\
                      [--seed N] [--cache DIR] [--out FILE] [--json]\n\
                      [--golden FILE --check|--bless]\n\
                      (staged-fidelity search of the IPC/mm2 Pareto frontier:\n\
                       verify -> static rank -> open-loop probes -> closed-loop\n\
                       successive halving; --cache memoizes cells)\n\
-           serve     [--addr HOST:PORT] [--cache DIR] [--jobs N] [--batch B]\n\
+           serve     [--addr HOST:PORT] [--cache DIR] [--jobs N]\n\
                      (long-running sweep service: content-addressed cache,\n\
                       in-flight dedup, tenant-fair scheduling; default addr\n\
                       127.0.0.1:32268)\n\
@@ -89,9 +89,9 @@ fn usage() -> ExitCode {
                      (submit a grid to a running service; --stats fetches the\n\
                       service counters instead)\n\
            openloop  --preset <NAME> [--hotspot] [--rate F]\n\
-           engine-bench [--preset NAME] [--k N] [--scale F] [--batch N]\n\
-                     [--out FILE] (simulator speed probe; default thr-eff at\n\
-                      k=6; one radix feeds both engine paths)\n\
+           engine-bench [--preset NAME] [--k N] [--scale F] [--out FILE]\n\
+                     (simulator speed probe on the arena and the reference\n\
+                      engine; default thr-eff at k=6)\n\
            area      (Table VI summary)\n\
            classify  [--scale F] (measured LL/LH/HH classes)\n\
            list      (benchmarks and presets)\n\
@@ -412,20 +412,21 @@ fn prior_history(path: &str) -> Vec<String> {
 /// simulated interconnect cycles per wall-clock second — on one design
 /// point (default: the paper's combined throughput-effective design,
 /// fig. 20; select another with `--preset`) driving the RD benchmark.
-/// With `--batch N`, additionally runs N seed-varied copies of the probe
-/// in lockstep on the arena engine and reports the aggregate rate. Each
-/// run appends a dated entry to the output file's `history` array, so
-/// `BENCH_engine.json` carries the perf trajectory across PRs.
+/// The same single cell runs on the per-router reference engine and on
+/// the production arena engine; `arena_over_oracle` is the ratio of the
+/// two rates, and the two runs must agree metric for metric. Each run
+/// appends a dated entry to the output file's `history` array, so
+/// `BENCH_engine.json` carries the perf trajectory across changes.
 fn cmd_engine_bench(flags: &HashMap<String, String>) -> ExitCode {
+    use tenoc::core::{System, SystemConfig};
     // Pre-refactor engine speed on the identical probe (thr-eff / RD at
     // scale 1.0, one job): 187646 simulated icnt cycles in 23.26 s of
     // wall time, measured at the commit immediately before the
     // active-set cycle kernel landed. The `speedup` field compares the
-    // current build against this figure.
+    // current per-router engine against this figure.
     const BASELINE_CYCLES_PER_SEC: f64 = 8067.0;
 
     let scale = flags.get("scale").and_then(|s| s.parse::<f64>().ok()).unwrap_or(1.0);
-    let batch = flags.get("batch").and_then(|b| b.parse::<usize>().ok()).unwrap_or(1).max(1);
     let k = flags.get("k").and_then(|k| k.parse::<usize>().ok()).unwrap_or(6);
     let Some(spec) = by_name("RD") else {
         eprintln!("engine-bench: RD benchmark missing");
@@ -441,77 +442,53 @@ fn cmd_engine_bench(flags: &HashMap<String, String>) -> ExitCode {
             }
         },
     };
-    // One radix feeds both the single-cell probe and the batched path,
-    // so `--k` can never silently bench two different networks.
-    let icnt = preset.icnt(k);
-    eprintln!(
-        "engine-bench: {} on {} (k={k}) at scale {scale}, batch {batch}",
-        spec.name,
-        preset.label()
-    );
+    eprintln!("engine-bench: {} on {} (k={k}) at scale {scale}", spec.name, preset.label());
 
-    // Single-cell rate on the per-cell oracle kernel (the B=1 reference).
-    let start = std::time::Instant::now();
-    let m = run_with_icnt(icnt.clone(), &spec, scale);
-    let wall_nanos = start.elapsed().as_nanos() as u64;
-    let perf = tenoc::harness::RunPerf::measure(m.icnt_cycles, wall_nanos);
-    let speedup = perf.sim_cycles_per_sec / BASELINE_CYCLES_PER_SEC;
-    eprintln!(
-        "engine-bench: single cell {} cycles in {:.2} s -> {:.0} sim cycles/s ({speedup:.2}x baseline)",
-        m.icnt_cycles,
-        wall_nanos as f64 / 1e9,
-        perf.sim_cycles_per_sec
-    );
-
-    // Batched aggregate: N seed-varied probes in lockstep on the arena
-    // engine, one thread. Aggregate rate = total simulated cycles / wall.
-    let (batch_cycles, batch_wall_nanos) = if batch >= 2 {
-        let scaled = spec.scaled(scale);
-        let mut systems: Vec<tenoc::core::System> = (0..batch)
-            .map(|i| {
-                let mut cfg = tenoc::core::SystemConfig::with_icnt(icnt.clone());
-                cfg.seed = tenoc::harness::cell_seed(0x7e0c, i as u64);
-                cfg.engine = tenoc::core::EngineKind::Arena;
-                tenoc::core::System::new(cfg, &scaled)
-            })
-            .collect();
+    // One cell, built and run to completion on either engine.
+    let scaled = spec.scaled(scale);
+    let time = |reference: bool| {
         let start = std::time::Instant::now();
-        let results = tenoc::core::run_lockstep(&mut systems);
-        let wall = start.elapsed().as_nanos() as u64;
-        let total: u64 = results.iter().map(|r| r.icnt_cycles).sum();
-        (total, wall)
-    } else {
-        (m.icnt_cycles, wall_nanos)
-    };
-    let aggregate_rate = batch_cycles as f64 / (batch_wall_nanos as f64 / 1e9);
-    let aggregate_speedup = aggregate_rate / perf.sim_cycles_per_sec;
-    if batch >= 2 {
+        let cfg = SystemConfig::with_icnt(preset.icnt(k));
+        let mut sys =
+            if reference { System::new_reference(cfg, &scaled) } else { System::new(cfg, &scaled) };
+        let m = sys.run();
+        let wall_nanos = start.elapsed().as_nanos() as u64;
+        let rate = tenoc::harness::RunPerf::measure(m.icnt_cycles, wall_nanos).sim_cycles_per_sec;
+        let engine = if reference { "reference" } else { "arena" };
         eprintln!(
-            "engine-bench: batch {batch} aggregate {} cycles in {:.2} s -> {:.0} sim cycles/s \
-             ({aggregate_speedup:.2}x the single-cell rate)",
-            batch_cycles,
-            batch_wall_nanos as f64 / 1e9,
-            aggregate_rate
+            "engine-bench: {engine:>9} {} cycles in {:.2} s -> {rate:.0} sim cycles/s",
+            m.icnt_cycles,
+            wall_nanos as f64 / 1e9
         );
+        (m, wall_nanos, rate)
+    };
+    let (m, wall_nanos, oracle_rate) = time(true);
+    let (arena_m, arena_wall_nanos, arena_rate) = time(false);
+    if !m.completed || arena_m != m {
+        eprintln!("engine-bench: the engines disagree or the probe did not complete");
+        return ExitCode::FAILURE;
     }
+    let speedup = oracle_rate / BASELINE_CYCLES_PER_SEC;
+    let arena_over_oracle = arena_rate / oracle_rate;
+    eprintln!(
+        "engine-bench: arena {arena_over_oracle:.2}x the reference engine \
+         (reference {speedup:.2}x the pre-refactor baseline)"
+    );
 
     let path = flags.get("out").map(String::as_str).unwrap_or("BENCH_engine.json");
     let entry = format!(
         "{{\"date\":\"{}\",\"preset\":\"{}\",\"scale\":{},\"sim_cycles\":{},\"wall_nanos\":{},\
-         \"sim_cycles_per_sec\":{:.1},\"batch\":{},\"batch_sim_cycles\":{},\
-         \"batch_wall_nanos\":{},\"aggregate_cycles_per_sec\":{:.1},\
-         \"aggregate_speedup_over_single\":{:.2}}}",
+         \"sim_cycles_per_sec\":{:.1},\"arena_wall_nanos\":{},\"arena_cycles_per_sec\":{:.1},\
+         \"arena_over_oracle\":{:.2}}}",
         utc_date_string(),
         preset.label(),
         scale,
         m.icnt_cycles,
         wall_nanos,
-        perf.sim_cycles_per_sec,
-        batch,
-        batch_cycles,
-        batch_wall_nanos,
-        aggregate_rate,
-        aggregate_speedup
+        oracle_rate,
+        arena_wall_nanos,
+        arena_rate,
+        arena_over_oracle
     );
     let mut history = prior_history(path);
     history.push(entry.clone());
@@ -519,20 +496,20 @@ fn cmd_engine_bench(flags: &HashMap<String, String>) -> ExitCode {
         "{{\"probe\":{{\"preset\":\"{}\",\"benchmark\":\"{}\",\"scale\":{}}},\
          \"sim_cycles\":{},\"wall_nanos\":{},\"sim_cycles_per_sec\":{:.1},\
          \"baseline_sim_cycles_per_sec\":{:.1},\"speedup\":{:.2},\
-         \"batch\":{},\"aggregate_cycles_per_sec\":{:.1},\
-         \"aggregate_speedup_over_single\":{:.2},\
+         \"arena_wall_nanos\":{},\"arena_cycles_per_sec\":{:.1},\
+         \"arena_over_oracle\":{:.2},\
          \"history\":[{}]}}\n",
         preset.label(),
         spec.name,
         scale,
         m.icnt_cycles,
         wall_nanos,
-        perf.sim_cycles_per_sec,
+        oracle_rate,
         BASELINE_CYCLES_PER_SEC,
         speedup,
-        batch,
-        aggregate_rate,
-        aggregate_speedup,
+        arena_wall_nanos,
+        arena_rate,
+        arena_over_oracle,
         history.join(",")
     );
     if let Err(e) = std::fs::write(path, &json) {
@@ -558,7 +535,6 @@ fn cmd_serve(flags: &HashMap<String, String>) -> ExitCode {
     {
         cfg.workers = jobs;
     }
-    cfg.batch = flags.get("batch").and_then(|b| b.parse::<usize>().ok()).unwrap_or(8).max(1);
     let handle = match tenoc::serve::start(cfg.clone()) {
         Ok(h) => h,
         Err(e) => {
@@ -567,10 +543,9 @@ fn cmd_serve(flags: &HashMap<String, String>) -> ExitCode {
         }
     };
     eprintln!(
-        "serve: listening on {} ({} workers, batch {}, cache {})",
+        "serve: listening on {} ({} workers, cache {})",
         handle.addr(),
         cfg.workers,
-        cfg.batch,
         cfg.cache_dir.display()
     );
     // Serve until the process is killed; the journal makes that safe.
@@ -785,7 +760,6 @@ fn cmd_tune(flags: &HashMap<String, String>) -> ExitCode {
             .get("jobs")
             .and_then(|v| v.parse::<usize>().ok())
             .unwrap_or_else(tenoc::harness::jobs_from_env),
-        batch: flags.get("batch").and_then(|v| v.parse::<usize>().ok()).unwrap_or(8),
         cache_dir: flags.get("cache").map(std::path::PathBuf::from),
     };
     let (report, stats) = match run_tune(&spec, &opts) {
@@ -933,21 +907,15 @@ fn cmd_sweep(flags: &HashMap<String, String>, scale: f64) -> ExitCode {
         .and_then(|j| j.parse::<usize>().ok())
         .filter(|&j| j >= 1)
         .unwrap_or_else(tenoc::harness::jobs_from_env);
-    let batch = flags.get("batch").and_then(|b| b.parse::<usize>().ok()).unwrap_or(1).max(1);
     eprintln!(
-        "sweep: {} cells ({} presets x {} benchmarks) at scale {}, {} jobs, batch {}",
+        "sweep: {} cells ({} presets x {} benchmarks) at scale {}, {} jobs",
         grid.len(),
         grid.presets.len(),
         grid.benchmarks.len(),
         grid.scale,
-        jobs,
-        batch
+        jobs
     );
-    let records = if batch >= 2 {
-        engine::run_sweep_batched(&grid, jobs, batch)
-    } else {
-        engine::run_sweep(&grid, jobs)
-    };
+    let records = engine::run_sweep(&grid, jobs);
     let jsonl = to_jsonl(&records);
 
     if let Some(path) = flags.get("out") {
