@@ -1,14 +1,13 @@
 //! Criterion benchmarks of the cycle kernel: the fig. 20 combined design
-//! point end to end, the active-set scheduler against the unconditional
-//! full sweep on the same traffic, and the cost of ticking a drained
-//! network. These track simulator performance, not paper data; the
-//! checked-in `BENCH_engine.json` (from `tenoc engine-bench`) records the
-//! headline simulated-cycles-per-second figure.
+//! point end to end, and the cost of ticking a drained network on the
+//! production engine. These track simulator performance, not paper
+//! data; the checked-in `BENCH_engine.json` (from `tenoc engine-bench`)
+//! records the headline simulated-cycles-per-second figure.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use tenoc_core::presets::Preset;
 use tenoc_core::system::{System, SystemConfig};
-use tenoc_noc::{Interconnect, Network, NetworkConfig, Packet, Tick};
+use tenoc_noc::{ArenaNetwork, NetworkConfig, Tick};
 use tenoc_workloads::by_name;
 
 fn bench_fig20_combined(c: &mut Criterion) {
@@ -22,36 +21,13 @@ fn bench_fig20_combined(c: &mut Criterion) {
     });
 }
 
-fn bench_scheduler_vs_sweep(c: &mut Criterion) {
-    for (id, full_sweep) in [("network_tick_active_set", false), ("network_tick_full_sweep", true)]
-    {
-        c.bench_function(id, |b| {
-            let cfg = NetworkConfig::baseline_mesh(6);
-            let mcs = cfg.mc_nodes.clone();
-            let mut net = Network::new(cfg);
-            net.set_full_sweep(full_sweep);
-            let mut i = 0u64;
-            b.iter(|| {
-                let src = (i % 28) as usize;
-                let dst = mcs[(i % 8) as usize];
-                let _ = net.try_inject(src, Packet::request(src, dst, 8, i));
-                net.tick();
-                for &mc in &mcs {
-                    while net.pop(mc).is_some() {}
-                }
-                i += 1;
-            });
-        });
-    }
-}
-
 fn bench_drained_tick(c: &mut Criterion) {
     c.bench_function("network_tick_drained", |b| {
-        let mut net = Network::new(NetworkConfig::baseline_mesh(6));
+        let mut net = ArenaNetwork::new(NetworkConfig::baseline_mesh(6));
         net.tick();
         b.iter(|| net.tick());
     });
 }
 
-criterion_group!(engine, bench_fig20_combined, bench_scheduler_vs_sweep, bench_drained_tick);
+criterion_group!(engine, bench_fig20_combined, bench_drained_tick);
 criterion_main!(engine);

@@ -262,9 +262,7 @@ mod tests {
     /// Acceptance: tracing the thr-eff preset emits latency histograms
     /// for both classes, a per-link utilization heatmap matching the mesh
     /// dimensions, and a non-empty flight-recorder sample — and the
-    /// metrics are identical to an untraced run. The traced run is on the
-    /// per-router engine and the untraced one on the arena, so the
-    /// equality is also a cross-engine check.
+    /// metrics are identical to an untraced run on the same engine.
     #[test]
     fn traced_thr_eff_run_emits_full_telemetry() {
         let spec = by_name("RD").unwrap();

@@ -73,20 +73,6 @@ impl IcntConfig {
     /// arena engine whenever it can pack their shape
     /// ([`tenoc_noc::build_network`]).
     pub(crate) fn build(&self) -> Box<dyn Interconnect> {
-        self.build_with(tenoc_noc::build_network)
-    }
-
-    /// Builds the interconnect with physical networks on the per-router
-    /// reference engine ([`tenoc_noc::build_reference_network`]), the one
-    /// that implements telemetry.
-    pub(crate) fn build_reference(&self) -> Box<dyn Interconnect> {
-        self.build_with(tenoc_noc::build_reference_network)
-    }
-
-    fn build_with(
-        &self,
-        physical: fn(&NetworkConfig, bool) -> Box<dyn Interconnect>,
-    ) -> Box<dyn Interconnect> {
         // Debug builds statically verify every network configuration they
         // are about to simulate: the auditor runs tenoc-verify's channel-
         // dependency-graph analysis inside both engines' constructors and
@@ -94,8 +80,8 @@ impl IcntConfig {
         // the check.
         tenoc_verify::install_debug_auditor();
         match self {
-            IcntConfig::Mesh(c) => physical(c, false),
-            IcntConfig::Double(c) => physical(c, true),
+            IcntConfig::Mesh(c) => tenoc_noc::build_network(c, false),
+            IcntConfig::Double(c) => tenoc_noc::build_network(c, true),
             IcntConfig::Perfect(c) => {
                 Box::new(PerfectInterconnect::new(c.mesh.len(), c.channel_bytes))
             }
@@ -202,7 +188,12 @@ impl System {
     ///
     /// As [`System::new`].
     pub fn new_reference(cfg: SystemConfig, spec: &KernelSpec) -> Self {
-        let icnt = cfg.icnt.build_reference();
+        tenoc_verify::install_debug_auditor();
+        let icnt = match &cfg.icnt {
+            IcntConfig::Mesh(c) => tenoc_noc::build_reference_network(c, false),
+            IcntConfig::Double(c) => tenoc_noc::build_reference_network(c, true),
+            IcntConfig::Perfect(_) | IcntConfig::BwLimited(..) => cfg.icnt.build(),
+        };
         Self::assemble(cfg, std::slice::from_ref(spec), icnt)
     }
 
@@ -404,23 +395,13 @@ impl System {
     }
 
     /// Arms the interconnect's observability layer (latency histograms,
-    /// link/VC counters, occupancy sampling, flight recorder). Only the
-    /// per-router engine implements it, so this rebuilds the interconnect
-    /// there ([`System::new_reference`]'s engine); a no-op on ideal
-    /// networks, which have nothing to observe. Telemetry never changes
-    /// simulated outcomes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the system has already taken a clock edge: the rebuilt
-    /// interconnect starts empty, so it can only replace one that never
-    /// ran.
+    /// link/VC counters, occupancy sampling, flight recorder) on the
+    /// engine the system already runs; the instruments count from this
+    /// call on. A no-op on ideal networks, which have nothing to observe,
+    /// and on shapes only the per-router engine can run (see
+    /// [`tenoc_noc::build_network`]). Telemetry never changes simulated
+    /// outcomes.
     pub fn enable_telemetry(&mut self, cfg: tenoc_noc::TelemetryConfig) {
-        assert!(
-            [Domain::Core, Domain::Icnt, Domain::Dram].iter().all(|&d| self.clocks.cycles(d) == 0),
-            "System::enable_telemetry must be called before the first clock edge"
-        );
-        self.icnt = self.cfg.icnt.build_reference();
         self.icnt.enable_telemetry(cfg);
     }
 
@@ -711,14 +692,6 @@ mod tests {
             };
             assert!(ok, "{} falls back to the per-router engine", p.label());
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "enable_telemetry must be called before the first clock edge")]
-    fn telemetry_after_the_first_edge_panics() {
-        let mut s = sys(false, 7);
-        s.tick();
-        s.enable_telemetry(tenoc_noc::TelemetryConfig::default());
     }
 
     /// Per-domain wall-time breakdown of the thr-eff/RD probe on the

@@ -2,7 +2,9 @@
 //! warm-up that grows every slab, ring and packet-table row to its peak
 //! occupancy, 1k cycles of the fig. 20 combined design point's
 //! [`ArenaDoubleNetwork`] (checkerboard double network, 2 MC injection
-//! ports) under sustained MC-bound traffic perform zero heap allocations.
+//! ports) under sustained MC-bound traffic perform zero heap allocations
+//! — both disarmed and with telemetry armed, whose buffers are all sized
+//! when it is enabled (DESIGN.md §13).
 //!
 //! This file holds exactly one test: the counting global allocator is
 //! process-wide, so a concurrently running test could blur the count.
@@ -11,7 +13,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use tenoc_core::system::IcntConfig;
 use tenoc_core::Preset;
-use tenoc_noc::{ArenaDoubleNetwork, Interconnect, Packet, Tick};
+use tenoc_noc::{ArenaDoubleNetwork, Interconnect, Packet, TelemetryConfig, Tick};
 
 struct CountingAlloc;
 
@@ -43,12 +45,21 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 #[test]
 fn arena_steady_state_allocates_nothing() {
+    for armed in [false, true] {
+        steady_state(armed);
+    }
+}
+
+fn steady_state(armed: bool) {
     let IcntConfig::Double(cfg) = Preset::ThroughputEffective.icnt(6) else {
         panic!("fig. 20 combined preset must be a double network");
     };
     let mcs = cfg.mc_nodes.clone();
     let cores: Vec<usize> = (0..cfg.mesh.len()).filter(|n| !mcs.contains(n)).collect();
     let mut net = ArenaDoubleNetwork::from_single(&cfg);
+    if armed {
+        net.enable_telemetry(TelemetryConfig::default());
+    }
 
     // Sustained many-to-few traffic: every cycle each class attempts a
     // couple of injections; blocked attempts are dropped (backpressure).
@@ -68,7 +79,8 @@ fn arena_steady_state_allocates_nothing() {
         }
     };
 
-    // Warm-up: reach peak queue and packet-table occupancy everywhere.
+    // Warm-up: reach peak queue and packet-table occupancy everywhere
+    // (and, armed, wrap the flight-recorder ring).
     drive(&mut net, 2_000, 0);
 
     let before = ALLOCS.load(Ordering::SeqCst);
@@ -77,11 +89,16 @@ fn arena_steady_state_allocates_nothing() {
     assert_eq!(
         after - before,
         0,
-        "arena kernel allocated {} times in 1k warm cycles",
+        "arena kernel (armed: {armed}) allocated {} times in 1k warm cycles",
         after - before
     );
 
     // Sanity: the run above actually moved traffic through the fabric.
     assert!(net.stats().cycles >= 3_000);
     assert!(net.flit_hops() > 10_000);
+    if armed {
+        let reports = net.telemetry_reports();
+        assert_eq!(reports.len(), 2);
+        assert!(reports.iter().all(|r| r.flight_dropped > 0), "the flight ring wrapped");
+    }
 }

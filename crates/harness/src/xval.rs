@@ -21,13 +21,14 @@
 //!   injection rate.
 //!
 //! Measurements run on the preset's *unsliced* physical network (the
-//! open-loop harness drives a single fabric), so the static side uses
+//! open-loop harness drives a single fabric) on the production engine,
+//! with telemetry armed for the link counters, so the static side uses
 //! the same single-network analysis.
 
 use serde::{Deserialize, Serialize};
 use tenoc_core::presets::Preset;
 use tenoc_noc::openloop::{run_open_loop_on, OpenLoopConfig, TrafficPattern};
-use tenoc_noc::Network;
+use tenoc_noc::{build_network, TelemetryConfig};
 use tenoc_verify::load::{analyze_load, TrafficMatrix};
 
 /// Tuning knobs for one cross-validation run.
@@ -148,14 +149,16 @@ pub fn cross_validate(label: &str, net: &tenoc_noc::NetworkConfig, cfg: &XvalCon
     let mut points = Vec::new();
     let mut max_sustained = 0.0_f64;
     let mut observed_hottest = String::from("-");
-    let mut loads = Vec::new();
+    // Link counters only: the flight recorder stays off.
+    let tcfg = TelemetryConfig { flight_capacity: 0, ..TelemetryConfig::default() };
     for &rate in &cfg.rates {
         let mut ol = OpenLoopConfig::new(net.clone(), rate, TrafficPattern::UniformRandom);
         ol.warmup = cfg.warmup;
         ol.measure = cfg.measure;
         ol.drain = cfg.drain;
-        let mut network = Network::new(net.clone());
-        let r = run_open_loop_on(&ol, &mut network);
+        let mut network = build_network(net, false);
+        network.enable_telemetry(tcfg);
+        let r = run_open_loop_on(&ol, &mut *network);
         let offered = rate * offered_per_rate;
         let keeping_up = offered > 0.0 && r.ejection_rate >= cfg.keepup_threshold * offered;
         if keeping_up {
@@ -165,11 +168,9 @@ pub fn cross_validate(label: &str, net: &tenoc_noc::NetworkConfig, cfg: &XvalCon
             // from it (hot flows clamp first), so saturated heatmaps no
             // longer reflect the matrix the prediction is about. Rates
             // ascend, so the last keeping-up point wins.
-            network.link_loads_into(&mut loads);
-            if let Some((node, dir, _)) =
-                loads.iter().reduce(|best, c| if c.2 > best.2 { c } else { best })
-            {
-                observed_hottest = format!("{node} {}", tenoc_noc::telemetry::dir_label(*dir));
+            let reports = network.telemetry_reports();
+            if let Some(link) = reports.first().and_then(|r| r.hottest_link()) {
+                observed_hottest = format!("{} {}", link.node, link.dir);
             }
         }
         points.push(RatePoint { rate, offered, ejection_rate: r.ejection_rate, keeping_up });

@@ -22,9 +22,10 @@
 //! proptests over random legal configurations.
 //!
 //! [`build_network`](crate::build_network) picks this engine for every
-//! shape [`ArenaNetwork::supports`]; the per-router `Network` remains the
-//! telemetry engine, the fallback for shapes the arena cannot pack, and
-//! the differential reference. See DESIGN.md §15.
+//! shape [`ArenaNetwork::supports`], and it carries the telemetry
+//! instruments (DESIGN.md §13); the per-router `Network` remains the
+//! fallback for shapes the arena cannot pack and the full-sweep
+//! differential reference. See DESIGN.md §15.
 
 use crate::activeset::ActiveSet;
 use crate::buffer::VcState;
@@ -33,7 +34,7 @@ use crate::interconnect::Interconnect;
 use crate::packet::{EjectedPacket, Packet, PacketClass, PacketHeader, Phase};
 use crate::routing::{self, OutPort};
 use crate::stats::NetStats;
-use crate::telemetry::TelemetryConfig;
+use crate::telemetry::{NetTelemetry, TelemetryConfig, TelemetryReport};
 use crate::tick::Tick;
 use crate::topology::RouterKind;
 use crate::types::{Direction, NodeId};
@@ -122,9 +123,8 @@ struct ChFlit {
 ///
 /// The production engine behind the [`Interconnect`] trait, with
 /// observable behavior bit-identical to [`Network`](crate::network::Network)
-/// (same stats, same ejection order, same RNG stream). Telemetry is the
-/// one unsupported feature: `System::enable_telemetry` rebuilds an armed
-/// system's interconnect on the per-router engine.
+/// (same stats, same ejection order, same RNG stream), and the engine
+/// that carries the telemetry instruments.
 pub struct ArenaNetwork {
     cfg: NetworkConfig,
     // --- shape (immutable after construction) ---
@@ -256,6 +256,11 @@ pub struct ArenaNetwork {
     sa_grants: Vec<Vec<(u8, u8, u8)>>,
     /// SA output-first per-output request masks (bit `in_port * nv + vc`).
     sa_op_req: Vec<u128>,
+    /// Observability instruments (link/VC counters, occupancy integrals,
+    /// the flight recorder). `None` — the default — costs one `Option`
+    /// check per switch grant and per cycle: no allocations, no RNG
+    /// draws. See DESIGN.md §13.
+    telemetry: Option<Box<NetTelemetry>>,
 }
 
 impl ArenaNetwork {
@@ -392,6 +397,7 @@ impl ArenaNetwork {
             va_req: vec![0; out_max * nv],
             sa_grants: (0..in_max).map(|_| Vec::with_capacity(out_max)).collect(),
             sa_op_req: vec![0; out_max],
+            telemetry: None,
             cfg,
         }
     }
@@ -405,14 +411,6 @@ impl ArenaNetwork {
     /// [`Network::link_loads`](crate::network::Network::link_loads).
     pub fn link_loads(&self) -> Vec<(NodeId, Direction, u64)> {
         let mut out = Vec::new();
-        self.link_loads_into(&mut out);
-        out
-    }
-
-    /// Appends per-link traffic into a caller-provided buffer (cleared
-    /// first), avoiding a fresh allocation per read on hot paths.
-    pub fn link_loads_into(&self, out: &mut Vec<(NodeId, Direction, u64)>) {
-        out.clear();
         for node in 0..self.n {
             for dir in Direction::ALL {
                 if self.nbr[node][dir.index()] >= 0 {
@@ -420,6 +418,13 @@ impl ArenaNetwork {
                 }
             }
         }
+        out
+    }
+
+    /// Snapshot of the armed telemetry, labeled `label`; `None` when
+    /// telemetry was never enabled.
+    fn telemetry_report(&self, label: &str) -> Option<TelemetryReport> {
+        self.telemetry.as_deref().map(|t| t.report(label, &self.cfg.mesh, &self.stats))
     }
 
     // --- slab index helpers ---
@@ -785,6 +790,9 @@ impl ArenaNetwork {
     fn commit_grant(&mut self, node: usize, ip: usize, vc: u8, op: usize, out_vc: u8, now: u64) {
         let idx = self.ivc(node, ip, vc as usize);
         let (flit, _) = self.fifo_pop(node, idx);
+        if let Some(t) = &mut self.telemetry {
+            t.record_flit(node, op, out_vc, &self.pkts[flit.pkt as usize], flit.seq, now);
+        }
         let is_tail = flit.seq + 1 == self.pkt_flits[flit.pkt as usize];
         if is_tail {
             let o = self.ovc(node, op, out_vc as usize);
@@ -1018,10 +1026,12 @@ impl ArenaNetwork {
     }
 
     /// `true` when the node can do nothing this cycle or any future cycle
-    /// without a new wake event. Mirrors `Network::node_idle`.
+    /// without a new wake event: no buffered flit, no NI stream in
+    /// flight, no flit inbound on any incoming channel and no credit
+    /// returning on any outgoing one.
     fn node_idle(&self, node: NodeId) -> bool {
         // The pending masks are exact mirrors of ring non-emptiness, so
-        // this equals the oracle's eight-ring probe.
+        // no ring needs probing.
         self.node_occ[node] == 0
             && self.ni_busy[node] == 0
             && self.flit_pending[node] == 0
@@ -1043,6 +1053,10 @@ impl Tick for ArenaNetwork {
     /// sweep would use). A node retired before an upstream neighbor's
     /// router step wakes it is re-inserted by that step's push, leaving
     /// the same active set at cycle end.
+    ///
+    /// Armed telemetry samples buffer occupancy over the active set once
+    /// the sweep is done: a node outside it is retired, and a retired
+    /// node buffers nothing, so the sample is exact.
     fn tick(&mut self) {
         let now = self.cycle;
         self.return_eject_credits(now);
@@ -1055,6 +1069,14 @@ impl Tick for ArenaNetwork {
                 self.active.remove(node);
             }
             i = node + 1;
+        }
+        if let Some(t) = &mut self.telemetry {
+            let mut i = 0;
+            while let Some(node) = self.active.next_from(i) {
+                t.add_occupancy_sample(node, self.node_occ[node] as u64);
+                i = node + 1;
+            }
+            t.tick_occupancy();
         }
         self.stats.cycles += 1;
         self.cycle += 1;
@@ -1129,11 +1151,13 @@ impl Interconnect for ArenaNetwork {
         self.ch_total.iter().sum()
     }
 
-    fn enable_telemetry(&mut self, _cfg: TelemetryConfig) {
-        panic!(
-            "telemetry runs on the per-router engine (Network); \
-             System::enable_telemetry rebuilds the interconnect there"
-        );
+    fn enable_telemetry(&mut self, cfg: TelemetryConfig) {
+        self.stats.enable_histograms();
+        self.telemetry = Some(Box::new(NetTelemetry::new(self.n, self.nv, cfg)));
+    }
+
+    fn telemetry_reports_into(&self, out: &mut Vec<TelemetryReport>) {
+        out.extend(self.telemetry_report("net"));
     }
 }
 
@@ -1222,6 +1246,12 @@ impl Interconnect for ArenaDoubleNetwork {
 
     fn enable_telemetry(&mut self, cfg: TelemetryConfig) {
         self.request.enable_telemetry(cfg);
+        self.reply.enable_telemetry(cfg);
+    }
+
+    fn telemetry_reports_into(&self, out: &mut Vec<TelemetryReport>) {
+        out.extend(self.request.telemetry_report("request"));
+        out.extend(self.reply.telemetry_report("reply"));
     }
 }
 
@@ -1294,5 +1324,179 @@ mod tests {
         let mut sliced = cfg.slice();
         sliced.mc_inject_ports = 4;
         assert_twin(sliced, 200);
+    }
+
+    /// Telemetry reproduces the lone packet's path: link counters match
+    /// `link_loads`, the flight recorder holds one event per hop plus the
+    /// ejection, and the heatmap has mesh dimensions.
+    #[test]
+    fn telemetry_traces_a_single_packet() {
+        let mut net = ArenaNetwork::new(NetworkConfig::baseline_mesh(6));
+        net.enable_telemetry(TelemetryConfig::default());
+        // 0 -> 3: three eastward hops along row 0, one flit.
+        net.try_inject(0, Packet::request(0, 3, 8, 0)).unwrap();
+        net.tick_n(100);
+        net.pop(3).expect("delivered");
+        let reports = net.telemetry_reports();
+        assert_eq!(reports.len(), 1);
+        let report = &reports[0];
+        assert_eq!(report.label, "net");
+        assert_eq!(report.radix, 6);
+        assert_eq!(report.heatmap.len(), 6);
+        assert!(report.heatmap.iter().all(|row| row.len() == 6));
+        // Link records agree with the channel counters.
+        let recorded: u64 = report.links.iter().map(|l| l.flits).sum();
+        let channel_total: u64 = net.link_loads().iter().map(|&(_, _, f)| f).sum();
+        assert_eq!(recorded, channel_total);
+        assert_eq!(recorded, 3, "one flit crosses exactly three links");
+        for l in &report.links {
+            assert_eq!(l.vc_flits.iter().sum::<u64>(), l.flits, "per-VC counts sum to total");
+            if l.flits > 0 {
+                assert_eq!(l.dir, "E");
+                assert!(l.utilization > 0.0);
+            }
+        }
+        // Only row-0 nodes show heat.
+        assert!(report.heatmap[0][0] > 0.0);
+        assert_eq!(report.heatmap[5][5], 0.0);
+        // Flight recorder: 3 link hops + 1 ejection, in time order.
+        assert_eq!(report.flight.len(), 4);
+        assert_eq!(report.flight_dropped, 0);
+        let nodes: Vec<u64> = report.flight.iter().map(|e| e.node).collect();
+        assert_eq!(nodes, vec![0, 1, 2, 3]);
+        assert!(report.flight.windows(2).all(|w| w[0].cycle < w[1].cycle));
+        assert!(report.flight.last().unwrap().out_port >= 4, "last event is the ejection");
+        // Histograms saw the packet in both latency views, request class.
+        assert_eq!(report.hist.total[0].count(), 1);
+        assert_eq!(report.hist.network[0].count(), 1);
+        assert_eq!(report.hist.total[1].count(), 0);
+        // Occupancy integral is positive somewhere along the path.
+        assert!(report.avg_occupancy.iter().any(|&o| o > 0.0));
+    }
+
+    /// Arming telemetry changes no simulated outcome: same stats, same
+    /// cycle count, same flit-hops as an unarmed twin.
+    #[test]
+    fn telemetry_does_not_perturb_the_simulation() {
+        let run = |armed: bool| {
+            let cfg = NetworkConfig::checkerboard_mesh(6);
+            let mcs = cfg.mc_nodes.clone();
+            let mut net = ArenaNetwork::new(cfg);
+            if armed {
+                net.enable_telemetry(TelemetryConfig::default());
+            }
+            for (i, node) in (0..36).filter(|n| !mcs.contains(n)).enumerate() {
+                net.try_inject(node, Packet::request(node, mcs[i % mcs.len()], 64, i as u64))
+                    .unwrap();
+            }
+            net.tick_n(500);
+            let mut s = net.stats();
+            s.hist = None; // the only intended divergence
+            (s, net.cycle(), net.flit_hops())
+        };
+        assert_eq!(run(false), run(true));
+    }
+
+    /// A node-armed flight recorder only captures that node's traffic.
+    #[test]
+    fn flight_recorder_arms_per_node() {
+        let mut net = ArenaNetwork::new(NetworkConfig::baseline_mesh(6));
+        net.enable_telemetry(TelemetryConfig {
+            flight_capacity: 64,
+            arm: crate::telemetry::ArmSpec { node: Some(3), class: None },
+        });
+        net.try_inject(0, Packet::request(0, 3, 8, 7)).unwrap(); // matches (dst 3)
+        net.try_inject(30, Packet::request(30, 35, 8, 8)).unwrap(); // unrelated
+        net.tick_n(100);
+        let report = &net.telemetry_reports()[0];
+        assert!(!report.flight.is_empty());
+        assert!(report.flight.iter().all(|e| e.packet == report.flight[0].packet));
+    }
+
+    /// The double network arms both slices and yields one labeled report
+    /// per slice.
+    #[test]
+    fn double_network_reports_both_slices() {
+        let mut dn = ArenaDoubleNetwork::from_single(&NetworkConfig::baseline_mesh(6));
+        dn.enable_telemetry(TelemetryConfig::default());
+        dn.try_inject(0, Packet::request(0, 10, 8, 1)).unwrap();
+        dn.try_inject(10, Packet::reply(10, 0, 64, 2)).unwrap();
+        dn.tick_n(300);
+        let reports = dn.telemetry_reports();
+        assert_eq!(reports.len(), 2);
+        assert_eq!(reports[0].label, "request");
+        assert_eq!(reports[1].label, "reply");
+        assert_eq!(reports[0].hist.total[0].count(), 1, "request slice saw the request");
+        assert_eq!(reports[1].hist.total[1].count(), 1, "reply slice saw the reply");
+        assert!(reports.iter().all(|r| !r.flight.is_empty()));
+    }
+
+    /// A drained network's tick touches zero routers: the first tick
+    /// retires the initially-active set, and it stays empty after that.
+    #[test]
+    fn drained_network_ticks_zero_routers() {
+        let mut net = ArenaNetwork::new(NetworkConfig::baseline_mesh(6));
+        net.tick();
+        assert_eq!(net.active.count(), 0);
+        for _ in 0..100 {
+            net.tick();
+            assert_eq!(net.active.count(), 0);
+        }
+        assert_eq!(net.cycle(), 101);
+    }
+
+    /// After real traffic fully drains, every router retires again and
+    /// further ticks wake none.
+    #[test]
+    fn active_set_empties_once_traffic_drains() {
+        let mut net = ArenaNetwork::new(NetworkConfig::baseline_mesh(4));
+        net.try_inject(0, Packet::request(0, 15, 8, 1)).unwrap();
+        net.try_inject(5, Packet::reply(5, 10, 64, 2)).unwrap();
+        let mut got = 0;
+        while got < 2 {
+            net.tick();
+            got += usize::from(net.pop(15).is_some()) + usize::from(net.pop(10).is_some());
+            assert!(net.cycle() < 1_000);
+        }
+        while net.active.count() > 0 {
+            net.tick();
+            assert!(net.cycle() < 1_100, "active set failed to drain");
+        }
+        for _ in 0..50 {
+            net.tick();
+            assert_eq!(net.active.count(), 0);
+        }
+    }
+
+    /// Regression for the `created == 0` sentinel bug: a packet genuinely
+    /// created at cycle 0 that waits in a source queue must keep its
+    /// stamp, so total latency includes the queueing delay. Only
+    /// `CREATED_UNSET` packets are stamped at injection time.
+    #[test]
+    fn packet_created_at_cycle_zero_is_not_restamped() {
+        let mut net = ArenaNetwork::new(NetworkConfig::baseline_mesh(4));
+        net.tick_n(5);
+
+        let mut queued = Packet::request(0, 5, 8, 7);
+        assert_eq!(queued.header.created, PacketHeader::CREATED_UNSET);
+        queued.header.created = 0;
+        net.try_inject(0, queued).unwrap();
+
+        let fresh_at = net.cycle();
+        net.try_inject(1, Packet::request(1, 5, 8, 8)).unwrap();
+
+        let mut seen = Vec::new();
+        while seen.len() < 2 {
+            net.tick();
+            while let Some(e) = net.pop(5) {
+                seen.push(e);
+            }
+            assert!(net.cycle() < 1_000);
+        }
+        let queued_out = seen.iter().find(|e| e.header.tag == 7).unwrap();
+        let fresh_out = seen.iter().find(|e| e.header.tag == 8).unwrap();
+        assert_eq!(queued_out.header.created, 0);
+        assert!(queued_out.total_latency() >= 5 + queued_out.network_latency());
+        assert_eq!(fresh_out.header.created, fresh_at);
     }
 }

@@ -2,10 +2,12 @@
 //!
 //! `tenoc-noc` deliberately has no dependency on the static verifier
 //! (`tenoc-verify` depends on this crate), so the network cannot call the
-//! verifier directly. Instead, [`Network::new`](crate::network::Network::new)
-//! invokes a process-global auditor callback — if one has been installed —
-//! on every configuration it is asked to build, and panics if the auditor
-//! rejects it. `tenoc_verify::install_debug_auditor` installs the
+//! verifier directly. Instead, both engines' constructors
+//! ([`ArenaNetwork::new`](crate::arena::ArenaNetwork::new) and
+//! [`Network::new`](crate::network::Network::new)) invoke a
+//! process-global auditor callback — if one has been installed — on
+//! every configuration they are asked to build, and panic if the
+//! auditor rejects it. `tenoc_verify::install_debug_auditor` installs the
 //! channel-dependency-graph analyzer here, so any debug-build simulation
 //! run (tests included) statically proves its own configuration
 //! deadlock-free before the first cycle. Release builds skip the check.

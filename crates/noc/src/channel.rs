@@ -66,11 +66,6 @@ impl Channel {
         self.flits.len()
     }
 
-    /// Credits currently in flight.
-    pub fn credits_in_flight(&self) -> usize {
-        self.credits.len()
-    }
-
     /// Total flits ever pushed onto this channel (for link-utilization
     /// reports).
     pub fn total_flits(&self) -> u64 {
@@ -123,10 +118,9 @@ mod tests {
         ch.push_flit(1, 0, flit());
         ch.push_credit(1, 0);
         assert_eq!(ch.flits_in_flight(), 1);
-        assert_eq!(ch.credits_in_flight(), 1);
         ch.pop_flit(1);
-        ch.pop_credit(1);
+        assert_eq!(ch.pop_credit(1), Some(0));
         assert_eq!(ch.flits_in_flight(), 0);
-        assert_eq!(ch.credits_in_flight(), 0);
+        assert_eq!(ch.pop_credit(1), None);
     }
 }

@@ -60,10 +60,12 @@ pub trait Interconnect: Tick {
     }
 
     /// Arms the observability layer (latency histograms, link/VC
-    /// counters, occupancy sampling, flight recorder). The default is a
-    /// no-op: ideal networks have no links or buffers to observe.
-    /// Telemetry never changes simulated outcomes — with or without it,
-    /// every packet takes the same path at the same cycle.
+    /// counters, occupancy sampling, flight recorder); the instruments
+    /// count from this call on. The arena engine implements it; the
+    /// default is a no-op, for ideal networks (no links or buffers to
+    /// observe) and the per-router reference engine. Telemetry never
+    /// changes simulated outcomes — with or without it, every packet
+    /// takes the same path at the same cycle.
     fn enable_telemetry(&mut self, _cfg: TelemetryConfig) {}
 
     /// Appends snapshots of every physical network's telemetry into a
@@ -115,8 +117,9 @@ pub fn build_network(cfg: &NetworkConfig, sliced: bool) -> Box<dyn Interconnect>
 
 /// Builds the per-router reference engine ([`Network`], or
 /// [`DoubleNetwork`] when `sliced` is set) for any shape. Its uses are
-/// telemetry, which only it implements, shapes the arena cannot pack,
-/// and differential checks of the arena against it.
+/// shapes the arena cannot pack (where telemetry is a no-op: only the
+/// arena carries the instruments) and differential checks of the arena
+/// against it.
 ///
 /// # Panics
 ///

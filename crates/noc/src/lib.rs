@@ -23,8 +23,9 @@
 //!   network ([`ideal`]).
 //! * Two engines for the same simulation: the flat structure-of-arrays
 //!   [`arena`] kernel, which [`build_network`] picks for every shape it
-//!   can pack, and the per-router [`network`] kernel, which carries
-//!   telemetry and serves as the arena's differential reference.
+//!   can pack and which carries the [`telemetry`] instruments, and the
+//!   per-router [`network`] kernel, a plain full sweep that serves as the
+//!   fallback for other shapes and as the arena's differential reference.
 //! * An open-loop traffic harness for latency/throughput curves under
 //!   many-to-few-to-many traffic ([`openloop`]), reproducing Figure 21.
 //!
@@ -33,10 +34,10 @@
 //! Send a packet across a 6x6 baseline mesh and observe its latency:
 //!
 //! ```
-//! use tenoc_noc::{Interconnect, Network, NetworkConfig, Packet};
+//! use tenoc_noc::{build_network, NetworkConfig, Packet};
 //!
 //! let cfg = NetworkConfig::baseline_mesh(6);
-//! let mut net = Network::new(cfg);
+//! let mut net = build_network(&cfg, false); // false: one mesh, not sliced
 //! let pkt = Packet::request(0, 35, 8, 42); // src, dst, bytes, tag
 //! net.try_inject(0, pkt).expect("empty network accepts injection");
 //! for _ in 0..200 {

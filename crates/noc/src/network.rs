@@ -1,12 +1,14 @@
 //! A complete single physical network (routers + channels + network
 //! interfaces), and the channel-sliced double network.
 //!
-//! This is the per-router engine. Production cells run on the
-//! bit-identical [`arena`](crate::arena) kernel instead; this one serves
-//! telemetry, shapes the arena cannot pack, and differential checks of
-//! the arena against it (see [`crate::build_network`]).
+//! This is the per-router reference engine: one cycle is the plain
+//! four-stage sweep (deliver, eject credits, NI, router) over every node,
+//! the literal definition of the simulation. Production cells run on the
+//! bit-identical [`arena`](crate::arena) kernel, whose active-set
+//! scheduler must reproduce this sweep; this engine serves shapes the
+//! arena cannot pack and differential checks of the arena against it
+//! (see [`crate::build_network`]).
 
-use crate::activeset::ActiveSet;
 use crate::channel::Channel;
 use crate::config::NetworkConfig;
 use crate::interconnect::Interconnect;
@@ -14,9 +16,6 @@ use crate::packet::{EjectedPacket, Packet, PacketClass, PacketHeader};
 use crate::router::{RouteCtx, Router, RouterOutputs};
 use crate::routing::{self};
 use crate::stats::NetStats;
-use crate::telemetry::{
-    dir_label, FlightEvent, LinkRecord, NetTelemetry, TelemetryConfig, TelemetryReport,
-};
 use crate::tick::Tick;
 use crate::types::{Direction, NodeId};
 use rand::rngs::SmallRng;
@@ -53,20 +52,6 @@ pub struct Network {
     rng: SmallRng,
     next_pkt_id: u64,
     scratch: RouterOutputs,
-    /// Nodes with (possible) work this cycle. Nodes are woken by flit
-    /// arrival, credit return, or NI injection, and retired when provably
-    /// idle; see [`Network::node_idle`].
-    active: ActiveSet,
-    /// Compatibility mode: step every node every cycle (the pre-scheduler
-    /// behavior) instead of only the active set.
-    full_sweep: bool,
-    /// Router `step` invocations since construction (scheduler telemetry).
-    routers_stepped: u64,
-    /// Observability instruments (link counters, occupancy integrals, the
-    /// flight recorder). `None` — the default — keeps every hot path free
-    /// of telemetry work: no allocations, no RNG draws, no branches beyond
-    /// the `Option` check. See DESIGN.md §13.
-    telemetry: Option<Box<NetTelemetry>>,
 }
 
 impl Network {
@@ -110,29 +95,8 @@ impl Network {
             rng: SmallRng::seed_from_u64(cfg.seed),
             next_pkt_id: 1,
             scratch: RouterOutputs::default(),
-            active: ActiveSet::all(n),
-            full_sweep: false,
-            routers_stepped: 0,
-            telemetry: None,
             cfg,
         }
-    }
-
-    /// Forces the pre-scheduler full sweep: every node is stepped every
-    /// cycle regardless of the active set. Wake events are still recorded,
-    /// so the mode can be toggled mid-run without losing nodes.
-    pub fn set_full_sweep(&mut self, on: bool) {
-        self.full_sweep = on;
-    }
-
-    /// Number of nodes currently in the active set.
-    pub fn active_routers(&self) -> usize {
-        self.active.count()
-    }
-
-    /// Total router `step` invocations since construction.
-    pub fn routers_stepped(&self) -> u64 {
-        self.routers_stepped
     }
 
     /// The network's configuration.
@@ -151,14 +115,6 @@ impl Network {
     /// utilized link).
     pub fn link_loads(&self) -> Vec<(NodeId, Direction, u64)> {
         let mut out = Vec::new();
-        self.link_loads_into(&mut out);
-        out
-    }
-
-    /// Writes per-link traffic into a caller-provided buffer (cleared
-    /// first), so hot read paths can reuse one allocation across calls.
-    pub fn link_loads_into(&self, out: &mut Vec<(NodeId, Direction, u64)>) {
-        out.clear();
         for node in 0..self.cfg.mesh.len() {
             for dir in Direction::ALL {
                 if self.cfg.mesh.neighbor(node, dir).is_some() {
@@ -166,76 +122,7 @@ impl Network {
                 }
             }
         }
-    }
-
-    /// Arms the observability layer: latency histograms in the stats,
-    /// per-link/per-VC flit counters, buffer-occupancy sampling, and the
-    /// flit flight recorder. All buffers are allocated here, once; the
-    /// instrumented paths never allocate afterwards. Telemetry observes
-    /// the simulation without influencing it — enabling it changes no
-    /// simulated outcome.
-    pub fn arm_telemetry(&mut self, tcfg: TelemetryConfig) {
-        self.stats.enable_histograms();
-        self.telemetry = Some(Box::new(NetTelemetry::new(
-            self.cfg.mesh.len(),
-            self.cfg.vcs.total as usize,
-            tcfg,
-        )));
-    }
-
-    /// `true` once [`Network::arm_telemetry`] has been called.
-    pub fn telemetry_armed(&self) -> bool {
-        self.telemetry.is_some()
-    }
-
-    /// Builds a serializable snapshot of the armed telemetry, labeled
-    /// `label` (e.g. `net`, `request`, `reply`). Returns `None` when
-    /// telemetry was never armed.
-    pub fn telemetry_report(&self, label: &str) -> Option<TelemetryReport> {
-        let t = self.telemetry.as_deref()?;
-        let radix = self.cfg.mesh.radix();
-        let cycles = self.stats.cycles;
-        let n = self.cfg.mesh.len();
-        let mut links = Vec::new();
-        let mut heatmap = vec![vec![0.0f64; radix]; radix];
-        for node in 0..n {
-            let coord = self.cfg.mesh.coord(node);
-            let mut util_sum = 0.0;
-            let mut degree = 0u32;
-            for dir in Direction::ALL {
-                if self.cfg.mesh.neighbor(node, dir).is_none() {
-                    continue;
-                }
-                let flits = t.link_flits(node, dir.index());
-                let utilization = if cycles == 0 { 0.0 } else { flits as f64 / cycles as f64 };
-                util_sum += utilization;
-                degree += 1;
-                links.push(LinkRecord {
-                    node: node as u64,
-                    x: coord.x,
-                    y: coord.y,
-                    dir: dir_label(dir).to_string(),
-                    flits,
-                    vc_flits: (0..self.cfg.vcs.total)
-                        .map(|vc| t.link_vc_flits(node, dir.index(), vc))
-                        .collect(),
-                    utilization,
-                });
-            }
-            heatmap[coord.y as usize][coord.x as usize] =
-                if degree == 0 { 0.0 } else { util_sum / degree as f64 };
-        }
-        Some(TelemetryReport {
-            label: label.to_string(),
-            radix: radix as u64,
-            cycles,
-            hist: self.stats.hist.unwrap_or_default(),
-            links,
-            heatmap,
-            avg_occupancy: (0..n).map(|node| t.avg_occupancy(node)).collect(),
-            flight: t.flight.events(),
-            flight_dropped: t.flight.dropped(),
-        })
+        out
     }
 
     /// NI phase for one node: streams one flit per busy injection port
@@ -303,9 +190,7 @@ impl Network {
         }
     }
 
-    /// Returns due ejection-buffer credits to their routers. Global (not
-    /// per-node): a retired router can safely absorb a credit — with no
-    /// buffered flits the credit cannot enable work.
+    /// Returns due ejection-buffer credits to their routers.
     fn return_eject_credits(&mut self, now: u64) {
         while let Some(&(due, node, out_port, vc)) = self.eject_credits.front() {
             if due > now {
@@ -317,9 +202,8 @@ impl Network {
     }
 
     /// Router phase for one node: runs the pipeline and routes emitted
-    /// flits/credits onto channels, waking the receiving nodes.
+    /// flits/credits onto channels.
     fn step_router_node(&mut self, node: NodeId, now: u64) {
-        self.routers_stepped += 1;
         let timing = self.routers[node].timing();
         let flit_delay = timing.st_delay + self.cfg.link_latency as u64 + 1;
         self.scratch.clear();
@@ -330,29 +214,8 @@ impl Network {
         }
         for i in 0..self.scratch.flits.len() {
             let (out_port, vc, flit) = self.scratch.flits[i];
-            if let Some(t) = &mut self.telemetry {
-                if out_port < 4 {
-                    t.count_link_flit(node, out_port, vc);
-                }
-                if t.flight.armed_for(&flit.hdr) {
-                    t.flight.record(FlightEvent {
-                        packet: flit.hdr.id,
-                        class: flit.hdr.class.index() as u8,
-                        seq: flit.seq,
-                        node: node as u64,
-                        out_port: out_port as u8,
-                        cycle: now,
-                    });
-                }
-            }
             if out_port < 4 {
                 self.channels[node * 4 + out_port].push_flit(now + flit_delay, vc, flit);
-                let neighbor = self
-                    .cfg
-                    .mesh
-                    .neighbor(node, Direction::from_index(out_port))
-                    .expect("router checked the direction exists");
-                self.active.insert(neighbor);
             } else {
                 // Ejection: the sink consumes immediately and returns
                 // the buffer credit next cycle.
@@ -376,102 +239,29 @@ impl Network {
                 .neighbor(node, in_dir)
                 .expect("credit for a direction port implies a neighbor");
             self.channels[upstream * 4 + in_dir.opposite().index()].push_credit(now + 1, vc);
-            self.active.insert(upstream);
         }
-    }
-
-    /// `true` when the node can do nothing this cycle or any future cycle
-    /// without a new wake event: its router buffers are empty, no NI
-    /// stream is in flight, no flit is inbound on any incoming channel,
-    /// and no credit is returning on any outgoing channel.
-    fn node_idle(&self, node: NodeId) -> bool {
-        if !self.routers[node].is_idle() {
-            return false;
-        }
-        if self.ni[node].iter().any(Option::is_some) {
-            return false;
-        }
-        for dir in Direction::ALL {
-            let Some(neighbor) = self.cfg.mesh.neighbor(node, dir) else { continue };
-            if self.channels[neighbor * 4 + dir.opposite().index()].flits_in_flight() > 0 {
-                return false;
-            }
-            if self.channels[node * 4 + dir.index()].credits_in_flight() > 0 {
-                return false;
-            }
-        }
-        true
     }
 }
 
 impl Tick for Network {
+    /// One cycle: every node's deliveries, the due ejection credits,
+    /// every node's NI, then every node's router, each stage a full
+    /// sweep in ascending node order.
     fn tick(&mut self) {
         let now = self.cycle;
-        if self.full_sweep {
-            for node in 0..self.cfg.mesh.len() {
-                self.deliver_node(node, now);
-            }
-            self.return_eject_credits(now);
-            for node in 0..self.cfg.mesh.len() {
-                self.stream_ni_node(node, now);
-            }
-            for node in 0..self.cfg.mesh.len() {
-                self.step_router_node(node, now);
-            }
-        } else {
-            // Ascending active-node order: identical visit order to the
-            // full sweep, minus nodes whose visit would be a no-op.
-            let mut i = 0;
-            while let Some(node) = self.active.next_from(i) {
-                self.deliver_node(node, now);
-                i = node + 1;
-            }
-            self.return_eject_credits(now);
-            let mut i = 0;
-            while let Some(node) = self.active.next_from(i) {
-                self.stream_ni_node(node, now);
-                i = node + 1;
-            }
-            let mut i = 0;
-            while let Some(node) = self.active.next_from(i) {
-                self.step_router_node(node, now);
-                i = node + 1;
-            }
-            let mut i = 0;
-            while let Some(node) = self.active.next_from(i) {
-                if self.node_idle(node) {
-                    self.active.remove(node);
-                }
-                i = node + 1;
-            }
+        let n = self.cfg.mesh.len();
+        for node in 0..n {
+            self.deliver_node(node, now);
         }
-        if self.telemetry.is_some() {
-            self.sample_occupancy();
+        self.return_eject_credits(now);
+        for node in 0..n {
+            self.stream_ni_node(node, now);
+        }
+        for node in 0..n {
+            self.step_router_node(node, now);
         }
         self.stats.cycles += 1;
         self.cycle += 1;
-    }
-}
-
-impl Network {
-    /// Telemetry: accumulates this cycle's buffered-flit count per router.
-    /// Nodes outside the active set are provably idle (empty buffers, see
-    /// [`Network::node_idle`]), so sampling only active nodes is exact in
-    /// scheduler mode; the full sweep samples everyone.
-    fn sample_occupancy(&mut self) {
-        let t = self.telemetry.as_mut().expect("caller checked");
-        if self.full_sweep {
-            for node in 0..self.routers.len() {
-                t.add_occupancy_sample(node, self.routers[node].occupancy() as u64);
-            }
-        } else {
-            let mut i = 0;
-            while let Some(node) = self.active.next_from(i) {
-                t.add_occupancy_sample(node, self.routers[node].occupancy() as u64);
-                i = node + 1;
-            }
-        }
-        t.tick_occupancy();
     }
 }
 
@@ -502,7 +292,6 @@ impl Interconnect for Network {
         }
         self.stats.injected_flits_by_node[node] += hdr.flits as u64;
         self.ni[node][port] = Some(NiPacket { hdr: *hdr, next_seq: 0, vc: None });
-        self.active.insert(node);
         Ok(())
     }
 
@@ -532,14 +321,6 @@ impl Interconnect for Network {
 
     fn flit_hops(&self) -> u64 {
         self.channels.iter().map(Channel::total_flits).sum()
-    }
-
-    fn enable_telemetry(&mut self, cfg: TelemetryConfig) {
-        self.arm_telemetry(cfg);
-    }
-
-    fn telemetry_reports_into(&self, out: &mut Vec<TelemetryReport>) {
-        out.extend(self.telemetry_report("net"));
     }
 }
 
@@ -651,16 +432,6 @@ impl Interconnect for DoubleNetwork {
 
     fn flit_hops(&self) -> u64 {
         self.request.flit_hops() + self.reply.flit_hops()
-    }
-
-    fn enable_telemetry(&mut self, cfg: TelemetryConfig) {
-        self.request.arm_telemetry(cfg);
-        self.reply.arm_telemetry(cfg);
-    }
-
-    fn telemetry_reports_into(&self, out: &mut Vec<TelemetryReport>) {
-        out.extend(self.request.telemetry_report("request"));
-        out.extend(self.reply.telemetry_report("reply"));
     }
 }
 
@@ -952,119 +723,6 @@ mod tests {
         }
         assert_eq!(delivered, 24);
         assert_eq!(net.in_flight(), 0);
-    }
-
-    /// Telemetry reproduces the lone packet's path: link counters match
-    /// `link_loads`, the flight recorder holds one event per hop plus the
-    /// ejection, and the heatmap has mesh dimensions.
-    #[test]
-    fn telemetry_traces_a_single_packet() {
-        let cfg = NetworkConfig::baseline_mesh(6);
-        let mut net = Network::new(cfg);
-        net.arm_telemetry(crate::telemetry::TelemetryConfig::default());
-        // 0 -> 3: three eastward hops along row 0, one flit.
-        net.try_inject(0, Packet::request(0, 3, 8, 0)).unwrap();
-        for _ in 0..100 {
-            net.step();
-        }
-        net.pop(3).expect("delivered");
-        let report = net.telemetry_report("net").expect("telemetry armed");
-        assert_eq!(report.label, "net");
-        assert_eq!(report.radix, 6);
-        assert_eq!(report.heatmap.len(), 6);
-        assert!(report.heatmap.iter().all(|row| row.len() == 6));
-        // Link records agree with the channel counters.
-        let recorded: u64 = report.links.iter().map(|l| l.flits).sum();
-        let channel_total: u64 = net.link_loads().iter().map(|&(_, _, f)| f).sum();
-        assert_eq!(recorded, channel_total);
-        assert_eq!(recorded, 3, "one flit crosses exactly three links");
-        for l in &report.links {
-            assert_eq!(l.vc_flits.iter().sum::<u64>(), l.flits, "per-VC counts sum to total");
-            if l.flits > 0 {
-                assert_eq!(l.dir, "E");
-                assert!(l.utilization > 0.0);
-            }
-        }
-        // Only row-0 nodes show heat.
-        assert!(report.heatmap[0][0] > 0.0);
-        assert_eq!(report.heatmap[5][5], 0.0);
-        // Flight recorder: 3 link hops + 1 ejection, in time order.
-        assert_eq!(report.flight.len(), 4);
-        assert_eq!(report.flight_dropped, 0);
-        let nodes: Vec<u64> = report.flight.iter().map(|e| e.node).collect();
-        assert_eq!(nodes, vec![0, 1, 2, 3]);
-        assert!(report.flight.windows(2).all(|w| w[0].cycle < w[1].cycle));
-        assert!(report.flight.last().unwrap().out_port >= 4, "last event is the ejection");
-        // Histograms saw the packet in both latency views, request class.
-        assert_eq!(report.hist.total[0].count(), 1);
-        assert_eq!(report.hist.network[0].count(), 1);
-        assert_eq!(report.hist.total[1].count(), 0);
-        // Occupancy integral is positive somewhere along the path.
-        assert!(report.avg_occupancy.iter().any(|&o| o > 0.0));
-    }
-
-    /// Arming telemetry changes no simulated outcome: same stats, same
-    /// cycle count, same flit-hops as an unarmed twin.
-    #[test]
-    fn telemetry_does_not_perturb_the_simulation() {
-        let run = |armed: bool| {
-            let cfg = NetworkConfig::checkerboard_mesh(6);
-            let mcs = cfg.mc_nodes.clone();
-            let mut net = Network::new(cfg);
-            if armed {
-                net.arm_telemetry(crate::telemetry::TelemetryConfig::default());
-            }
-            for (i, node) in (0..36).filter(|n| !mcs.contains(n)).enumerate() {
-                net.try_inject(node, Packet::request(node, mcs[i % mcs.len()], 64, i as u64))
-                    .unwrap();
-            }
-            for _ in 0..500 {
-                net.step();
-            }
-            let mut s = net.stats();
-            s.hist = None; // the only intended divergence
-            (s, net.cycle(), net.flit_hops())
-        };
-        assert_eq!(run(false), run(true));
-    }
-
-    /// A node-armed flight recorder only captures that node's traffic.
-    #[test]
-    fn flight_recorder_arms_per_node() {
-        let cfg = NetworkConfig::baseline_mesh(6);
-        let mut net = Network::new(cfg);
-        net.arm_telemetry(crate::telemetry::TelemetryConfig {
-            flight_capacity: 64,
-            arm: crate::telemetry::ArmSpec { node: Some(3), class: None },
-        });
-        net.try_inject(0, Packet::request(0, 3, 8, 7)).unwrap(); // matches (dst 3)
-        net.try_inject(30, Packet::request(30, 35, 8, 8)).unwrap(); // unrelated
-        for _ in 0..100 {
-            net.step();
-        }
-        let report = net.telemetry_report("net").unwrap();
-        assert!(!report.flight.is_empty());
-        assert!(report.flight.iter().all(|e| e.packet == report.flight[0].packet));
-    }
-
-    /// The double network yields one labeled report per slice.
-    #[test]
-    fn double_network_reports_both_slices() {
-        let cfg = NetworkConfig::baseline_mesh(6);
-        let mut dn = DoubleNetwork::from_single(&cfg);
-        dn.enable_telemetry(crate::telemetry::TelemetryConfig::default());
-        dn.try_inject(0, Packet::request(0, 10, 8, 1)).unwrap();
-        dn.try_inject(10, Packet::reply(10, 0, 64, 2)).unwrap();
-        for _ in 0..300 {
-            dn.step();
-        }
-        let reports = dn.telemetry_reports();
-        assert_eq!(reports.len(), 2);
-        assert_eq!(reports[0].label, "request");
-        assert_eq!(reports[1].label, "reply");
-        assert_eq!(reports[0].hist.total[0].count(), 1, "request slice saw the request");
-        assert_eq!(reports[1].hist.total[1].count(), 1, "reply slice saw the reply");
-        assert!(reports.iter().all(|r| !r.flight.is_empty()));
     }
 
     /// Wider channels shrink packet flit counts.

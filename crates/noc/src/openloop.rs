@@ -9,7 +9,7 @@
 //!
 //! [`run_open_loop`] runs a probe on the production engine
 //! ([`build_network`]); [`run_open_loop_on`] runs it on a caller-built
-//! network, e.g. a double network or a per-router one to observe.
+//! network, e.g. a double network or one with telemetry armed.
 
 use crate::config::NetworkConfig;
 use crate::interconnect::{build_network, Interconnect};
@@ -144,107 +144,63 @@ pub fn run_open_loop(cfg: &OpenLoopConfig) -> OpenLoopResult {
 /// Runs one open-loop simulation on a caller-provided network: the
 /// channel-sliced double network of `cfg.net`, or a fabric the caller
 /// observes — arm telemetry beforehand
-/// ([`Network::arm_telemetry`](crate::Network::arm_telemetry)) or read
-/// link loads after the run. The network must be freshly built from
-/// `cfg.net` (the traffic generator addresses `cfg.net`'s compute and MC
-/// nodes).
+/// ([`Interconnect::enable_telemetry`]) and read the reports after the
+/// run. The network must be freshly built from `cfg.net` (the traffic
+/// generator addresses `cfg.net`'s compute and MC nodes).
+///
+/// One loop iteration is one simulated cycle: generate, drain source
+/// queues, service MCs, consume replies, step the network.
 ///
 /// # Panics
 ///
 /// Panics if the configuration has no MC nodes.
 pub fn run_open_loop_on(cfg: &OpenLoopConfig, net: &mut dyn Interconnect) -> OpenLoopResult {
-    let mut core = ProbeCore::new(cfg);
-    while !core.done() {
-        core.tick(cfg, net);
-    }
-    core.result(cfg)
-}
+    assert!(!cfg.net.mc_nodes.is_empty(), "open-loop traffic needs MC nodes");
+    let mcs = &cfg.net.mc_nodes;
+    let nodes = cfg.net.mesh.len();
+    let compute: Vec<NodeId> = (0..nodes).filter(|n| !mcs.contains(n)).collect();
+    let mut rng = SmallRng::seed_from_u64(cfg.seed);
+    // Unbounded source queues (standard open-loop methodology).
+    let mut src_q: Vec<VecDeque<Packet>> = vec![VecDeque::new(); nodes];
+    let mut reply_q: Vec<VecDeque<Packet>> = vec![VecDeque::new(); nodes];
+    let meas_end = cfg.warmup + cfg.measure;
+    let mut generated_measured = 0u64;
+    let mut delivered_measured = 0u64;
+    let mut lat_sum = [0u64; 2];
+    let mut lat_cnt = [0u64; 2];
+    let mut ejected_flits_window = 0u64;
+    let mut ejected_flits_in_window = 0u64;
+    let mut ejected_bytes_in_window = 0u64;
 
-/// The traffic-generation and accounting state of one open-loop probe,
-/// independent of which [`Interconnect`] implementation it drives. One
-/// [`tick`](ProbeCore::tick) is one simulated cycle.
-struct ProbeCore {
-    mcs: Vec<NodeId>,
-    compute: Vec<NodeId>,
-    nodes: usize,
-    rng: SmallRng,
-    /// Unbounded source queues (standard open-loop methodology).
-    src_q: Vec<VecDeque<Packet>>,
-    reply_q: Vec<VecDeque<Packet>>,
-    now: u64,
-    total: u64,
-    meas_end: u64,
-    generated_measured: u64,
-    delivered_measured: u64,
-    lat_sum: [u64; 2],
-    lat_cnt: [u64; 2],
-    ejected_flits_window: u64,
-    ejected_flits_in_window: u64,
-    ejected_bytes_in_window: u64,
-}
-
-impl ProbeCore {
-    fn new(cfg: &OpenLoopConfig) -> Self {
-        assert!(!cfg.net.mc_nodes.is_empty(), "open-loop traffic needs MC nodes");
-        let mcs = cfg.net.mc_nodes.clone();
-        let nodes = cfg.net.mesh.len();
-        let compute: Vec<NodeId> = (0..nodes).filter(|n| !mcs.contains(n)).collect();
-        ProbeCore {
-            mcs,
-            compute,
-            nodes,
-            rng: SmallRng::seed_from_u64(cfg.seed),
-            src_q: vec![VecDeque::new(); nodes],
-            reply_q: vec![VecDeque::new(); nodes],
-            now: 0,
-            total: cfg.warmup + cfg.measure + cfg.drain,
-            meas_end: cfg.warmup + cfg.measure,
-            generated_measured: 0,
-            delivered_measured: 0,
-            lat_sum: [0; 2],
-            lat_cnt: [0; 2],
-            ejected_flits_window: 0,
-            ejected_flits_in_window: 0,
-            ejected_bytes_in_window: 0,
-        }
-    }
-
-    fn done(&self) -> bool {
-        self.now >= self.total
-    }
-
-    /// One cycle: generate, drain source queues, service MCs, consume
-    /// replies, step the network.
-    fn tick(&mut self, cfg: &OpenLoopConfig, net: &mut dyn Interconnect) {
-        let now = self.now;
+    for now in 0..meas_end + cfg.drain {
         // Generate new requests at the compute nodes.
-        if now < self.meas_end {
-            for &c in &self.compute {
-                if self.rng.gen_bool(cfg.injection_rate.min(1.0)) {
-                    let dst = pick_mc(&self.mcs, cfg.pattern, &mut self.rng);
+        if now < meas_end {
+            for &c in &compute {
+                if rng.gen_bool(cfg.injection_rate.min(1.0)) {
+                    let dst = pick_mc(mcs, cfg.pattern, &mut rng);
                     let mut p = Packet::request(c, dst, cfg.request_bytes, 0);
                     p.header.created = now;
-                    self.src_q[c].push_back(p);
                     if cfg.in_measurement_window(now) {
-                        self.generated_measured += 1;
+                        generated_measured += 1;
                         // Mark measured packets via the tag.
-                        self.src_q[c].back_mut().unwrap().header.tag = 1;
+                        p.header.tag = 1;
                     }
+                    src_q[c].push_back(p);
                 }
             }
         }
         // Drain source queues into the network.
-        for &c in &self.compute {
-            while let Some(&p) = self.src_q[c].front() {
+        for &c in &compute {
+            while let Some(&p) = src_q[c].front() {
                 if net.try_inject(c, p).is_ok() {
-                    self.src_q[c].pop_front();
+                    src_q[c].pop_front();
                 } else {
                     break;
                 }
             }
         }
         // MCs: service ejected requests, emit replies; drain reply queues.
-        for &mc in &self.mcs {
+        for &mc in mcs {
             while let Some(req) = net.pop(mc) {
                 let mut rep = Packet::reply(mc, req.header.src, cfg.reply_bytes, req.header.tag);
                 // Stamped at the service cycle, matching the request
@@ -252,81 +208,60 @@ impl ProbeCore {
                 // inject); stamping now+1 would credit replies one cycle
                 // of latency they never paid.
                 rep.header.created = now;
-                self.reply_q[mc].push_back(rep);
+                reply_q[mc].push_back(rep);
                 if cfg.in_measurement_window(now) {
-                    self.ejected_flits_in_window += req.header.flits as u64;
-                    self.ejected_bytes_in_window += req.header.size_bytes as u64;
+                    ejected_flits_in_window += req.header.flits as u64;
+                    ejected_bytes_in_window += req.header.size_bytes as u64;
                 }
                 if req.header.tag == 1 {
-                    let l = req.total_latency();
-                    self.lat_sum[0] += l;
-                    self.lat_cnt[0] += 1;
+                    lat_sum[0] += req.total_latency();
+                    lat_cnt[0] += 1;
                     if cfg.in_measurement_window(req.header.created) {
-                        self.ejected_flits_window += req.header.flits as u64;
+                        ejected_flits_window += req.header.flits as u64;
                     }
                 }
             }
-            while let Some(&p) = self.reply_q[mc].front() {
+            while let Some(&p) = reply_q[mc].front() {
                 if net.try_inject(mc, p).is_ok() {
-                    self.reply_q[mc].pop_front();
+                    reply_q[mc].pop_front();
                 } else {
                     break;
                 }
             }
         }
         // Compute nodes: consume replies.
-        for &c in &self.compute {
+        for &c in &compute {
             while let Some(rep) = net.pop(c) {
                 if cfg.in_measurement_window(now) {
-                    self.ejected_flits_in_window += rep.header.flits as u64;
-                    self.ejected_bytes_in_window += rep.header.size_bytes as u64;
+                    ejected_flits_in_window += rep.header.flits as u64;
+                    ejected_bytes_in_window += rep.header.size_bytes as u64;
                 }
                 if rep.header.tag == 1 {
-                    let l = rep.total_latency();
-                    self.lat_sum[1] += l;
-                    self.lat_cnt[1] += 1;
-                    self.delivered_measured += 1;
-                    self.ejected_flits_window += rep.header.flits as u64;
+                    lat_sum[1] += rep.total_latency();
+                    lat_cnt[1] += 1;
+                    delivered_measured += 1;
+                    ejected_flits_window += rep.header.flits as u64;
                 }
             }
         }
         net.step();
-        self.now += 1;
     }
 
-    fn result(&self, cfg: &OpenLoopConfig) -> OpenLoopResult {
-        let total_lat: u64 = self.lat_sum.iter().sum();
-        let total_cnt: u64 = self.lat_cnt.iter().sum();
-        OpenLoopResult {
-            offered: cfg.injection_rate,
-            accepted: self.ejected_flits_window as f64 / cfg.measure as f64 / self.nodes as f64,
-            ejection_rate: self.ejected_flits_in_window as f64
-                / cfg.measure as f64
-                / self.nodes as f64,
-            ejection_bytes_rate: self.ejected_bytes_in_window as f64
-                / cfg.measure as f64
-                / self.nodes as f64,
-            avg_latency: if total_cnt == 0 {
-                f64::INFINITY
-            } else {
-                total_lat as f64 / total_cnt as f64
-            },
-            avg_request_latency: if self.lat_cnt[0] == 0 {
-                f64::INFINITY
-            } else {
-                self.lat_sum[0] as f64 / self.lat_cnt[0] as f64
-            },
-            avg_reply_latency: if self.lat_cnt[1] == 0 {
-                f64::INFINITY
-            } else {
-                self.lat_sum[1] as f64 / self.lat_cnt[1] as f64
-            },
-            delivered_fraction: if self.generated_measured == 0 {
-                1.0
-            } else {
-                self.delivered_measured as f64 / self.generated_measured as f64
-            },
-        }
+    let per_node_cycle = |x: u64| x as f64 / cfg.measure as f64 / nodes as f64;
+    let mean = |sum: u64, cnt: u64| if cnt == 0 { f64::INFINITY } else { sum as f64 / cnt as f64 };
+    OpenLoopResult {
+        offered: cfg.injection_rate,
+        accepted: per_node_cycle(ejected_flits_window),
+        ejection_rate: per_node_cycle(ejected_flits_in_window),
+        ejection_bytes_rate: per_node_cycle(ejected_bytes_in_window),
+        avg_latency: mean(lat_sum.iter().sum(), lat_cnt.iter().sum()),
+        avg_request_latency: mean(lat_sum[0], lat_cnt[0]),
+        avg_reply_latency: mean(lat_sum[1], lat_cnt[1]),
+        delivered_fraction: if generated_measured == 0 {
+            1.0
+        } else {
+            delivered_measured as f64 / generated_measured as f64
+        },
     }
 }
 

@@ -225,18 +225,6 @@ impl Router {
         self.inputs.iter().map(|i| i.vc(vc).len()).sum()
     }
 
-    /// `true` when a `step` would be a no-op: no input VC holds a flit.
-    ///
-    /// With empty FIFOs every pipeline stage bails out before touching an
-    /// arbiter pointer or a VC state, so an idle router's step has no
-    /// observable effect and the network may skip it outright. A VC may
-    /// still be mid-packet (`Active` with its body flits in flight
-    /// upstream), but such a VC does nothing until the next flit arrives —
-    /// and that arrival re-wakes the router.
-    pub fn is_idle(&self) -> bool {
-        self.occupancy() == 0
-    }
-
     /// Delivers a flit to input `in_port`, VC `vc`, arriving at `now`.
     ///
     /// # Panics

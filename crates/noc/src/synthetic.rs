@@ -7,8 +7,7 @@
 //! dimension-ordered routing performs poorly).
 
 use crate::config::NetworkConfig;
-use crate::interconnect::Interconnect;
-use crate::network::Network;
+use crate::interconnect::build_network;
 use crate::packet::Packet;
 use crate::types::{Coord, NodeId};
 use rand::rngs::SmallRng;
@@ -127,7 +126,8 @@ impl SynthResult {
     }
 }
 
-/// Runs one synthetic open-loop simulation.
+/// Runs one synthetic open-loop simulation on the production engine
+/// ([`build_network`]).
 ///
 /// # Panics
 ///
@@ -135,7 +135,7 @@ impl SynthResult {
 pub fn run_synthetic(cfg: &SynthConfig) -> SynthResult {
     let k = cfg.net.mesh.radix();
     let nodes = cfg.net.mesh.len();
-    let mut net = Network::new(cfg.net.clone());
+    let mut net = build_network(&cfg.net, false);
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     let mut src_q: Vec<VecDeque<Packet>> = vec![VecDeque::new(); nodes];
 

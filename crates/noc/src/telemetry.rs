@@ -9,8 +9,8 @@
 //!    of total and in-network packet latency, kept per protocol class
 //!    inside [`crate::NetStats`] when enabled.
 //! 2. **Link heatmaps**: per-link, per-VC flit counters and per-router
-//!    buffer-occupancy integrals sampled by [`crate::Network`], exported
-//!    as a mesh-shaped utilization grid.
+//!    buffer-occupancy integrals sampled by [`crate::ArenaNetwork`],
+//!    exported as a mesh-shaped utilization grid.
 //! 3. **Flight recorder** ([`FlightRecorder`]): a bounded ring buffer of
 //!    per-hop flit events (packet id, node, output port, cycle), armable
 //!    per node or per class via [`ArmSpec`].
@@ -28,6 +28,8 @@
 //! observes the simulation; it never influences it.
 
 use crate::packet::{PacketClass, PacketHeader};
+use crate::stats::NetStats;
+use crate::topology::Topology;
 use crate::types::{Direction, NodeId};
 use serde::{Deserialize, Serialize};
 
@@ -169,7 +171,8 @@ impl ArmSpec {
     }
 }
 
-/// Telemetry configuration handed to [`crate::Network::enable_telemetry`].
+/// Telemetry configuration handed to
+/// [`Interconnect::enable_telemetry`](crate::Interconnect::enable_telemetry).
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub struct TelemetryConfig {
     /// Capacity of the flight-recorder ring buffer (events kept; older
@@ -256,7 +259,7 @@ impl FlightRecorder {
     }
 }
 
-/// Live telemetry state owned by a [`crate::Network`] when enabled: all
+/// Live telemetry state owned by an armed [`crate::ArenaNetwork`]: all
 /// buffers are sized at construction and never grow.
 #[derive(Clone, Debug)]
 pub struct NetTelemetry {
@@ -288,6 +291,34 @@ impl NetTelemetry {
         self.link_vc_flits[(node * 4 + dir) * self.num_vcs + vc as usize] += 1;
     }
 
+    /// Records one switch grant: flit `seq` of the packet `hdr` leaves
+    /// `node` at cycle `now` through `out_port` (`0..4` links, `4+`
+    /// ejection) on downstream VC `vc`. Link ports bump the link counter;
+    /// any port feeds the flight recorder when it is armed for the packet.
+    pub fn record_flit(
+        &mut self,
+        node: NodeId,
+        out_port: usize,
+        vc: u8,
+        hdr: &PacketHeader,
+        seq: u16,
+        now: u64,
+    ) {
+        if out_port < 4 {
+            self.count_link_flit(node, out_port, vc);
+        }
+        if self.flight.armed_for(hdr) {
+            self.flight.record(FlightEvent {
+                packet: hdr.id,
+                class: hdr.class.index() as u8,
+                seq,
+                node: node as u64,
+                out_port: out_port as u8,
+                cycle: now,
+            });
+        }
+    }
+
     /// Accumulates one occupancy sample for `node`.
     pub fn add_occupancy_sample(&mut self, node: NodeId, buffered: u64) {
         self.occupancy_sum[node] += buffered;
@@ -316,6 +347,56 @@ impl NetTelemetry {
         }
         self.occupancy_sum[node] as f64 / self.occupancy_cycles as f64
     }
+
+    /// Builds the serializable snapshot of one network, labeled `label`
+    /// (e.g. `net`, `request`, `reply`): `mesh` is the network's
+    /// topology and `stats` its statistics, which carry the cycle count
+    /// and the latency histograms.
+    pub fn report(&self, label: &str, mesh: &Topology, stats: &NetStats) -> TelemetryReport {
+        let radix = mesh.radix();
+        let cycles = stats.cycles;
+        let n = mesh.len();
+        let mut links = Vec::new();
+        let mut heatmap = vec![vec![0.0f64; radix]; radix];
+        for node in 0..n {
+            let coord = mesh.coord(node);
+            let mut util_sum = 0.0;
+            let mut degree = 0u32;
+            for dir in Direction::ALL {
+                if mesh.neighbor(node, dir).is_none() {
+                    continue;
+                }
+                let flits = self.link_flits(node, dir.index());
+                let utilization = if cycles == 0 { 0.0 } else { flits as f64 / cycles as f64 };
+                util_sum += utilization;
+                degree += 1;
+                links.push(LinkRecord {
+                    node: node as u64,
+                    x: coord.x,
+                    y: coord.y,
+                    dir: dir_label(dir).to_string(),
+                    flits,
+                    vc_flits: (0..self.num_vcs as u8)
+                        .map(|vc| self.link_vc_flits(node, dir.index(), vc))
+                        .collect(),
+                    utilization,
+                });
+            }
+            heatmap[coord.y as usize][coord.x as usize] =
+                if degree == 0 { 0.0 } else { util_sum / degree as f64 };
+        }
+        TelemetryReport {
+            label: label.to_string(),
+            radix: radix as u64,
+            cycles,
+            hist: stats.hist.unwrap_or_default(),
+            links,
+            heatmap,
+            avg_occupancy: (0..n).map(|node| self.avg_occupancy(node)).collect(),
+            flight: self.flight.events(),
+            flight_dropped: self.flight.dropped(),
+        }
+    }
 }
 
 /// One physical link's traffic in a [`TelemetryReport`].
@@ -338,7 +419,7 @@ pub struct LinkRecord {
 }
 
 /// A serializable snapshot of one network's telemetry, built by
-/// [`crate::Network::telemetry_report`].
+/// [`NetTelemetry::report`].
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct TelemetryReport {
     /// Which network this report describes (`net`, `request`, `reply`).

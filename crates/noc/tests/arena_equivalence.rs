@@ -3,7 +3,9 @@
 //! experiments use: random legal configs, random seeds, random traffic.
 //! An [`ArenaNetwork`] is compared against an oracle [`Network`] fed the
 //! exact same traffic — same ejection sequence, same cycle count, same
-//! [`NetStats`].
+//! [`NetStats`]. The oracle steps every router every cycle, so this also
+//! checks that the arena's active-set scheduler only skips routers whose
+//! step would be a no-op.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;

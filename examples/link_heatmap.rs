@@ -8,13 +8,13 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use tenoc::noc::openloop::TrafficPattern;
-use tenoc::noc::{Interconnect, Mesh, Network, NetworkConfig, Packet, Placement};
+use tenoc::noc::{ArenaNetwork, Interconnect, Mesh, NetworkConfig, Packet, Placement};
 
 /// Drives request/reply traffic for `cycles` and returns (network, cycles).
-fn drive(cfg: NetworkConfig, rate: f64, cycles: u64) -> Network {
+fn drive(cfg: NetworkConfig, rate: f64, cycles: u64) -> ArenaNetwork {
     let mcs = cfg.net_mcs();
     let cores: Vec<usize> = (0..cfg.mesh.len()).filter(|n| !mcs.contains(n)).collect();
-    let mut net = Network::new(cfg);
+    let mut net = ArenaNetwork::new(cfg);
     let mut rng = SmallRng::seed_from_u64(5);
     let mut backlog: Vec<Packet> = Vec::new();
     for now in 0..cycles {
@@ -48,7 +48,7 @@ impl McList for NetworkConfig {
     }
 }
 
-fn heatmap(title: &str, net: &Network) {
+fn heatmap(title: &str, net: &ArenaNetwork) {
     let k = net.config().mesh.radix();
     let cycles = net.cycle().max(1) as f64;
     println!("\n{title}");
