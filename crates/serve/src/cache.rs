@@ -12,7 +12,7 @@ use serde::json::Value;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::Write;
+use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use tenoc_core::RunMetrics;
 use tenoc_simt::TrafficClass;
@@ -70,42 +70,62 @@ impl DiskCache {
     pub fn open(dir: &Path) -> std::io::Result<Self> {
         std::fs::create_dir_all(dir)?;
         let path = Self::journal_path(dir);
-        let existing = match std::fs::read_to_string(&path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
+        let mut map = HashMap::new();
+        let skipped_lines = match File::open(&path) {
+            Ok(file) => Self::replay(BufReader::new(file), &path, &mut map)?,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => 0,
             Err(e) => return Err(e),
         };
-        // Only '\n'-terminated lines are records: a crash mid-append
-        // leaves a partial tail, and even a tail that happens to parse
-        // (crash between the payload and its newline) is treated as the
-        // one in-flight cell the durability contract allows losing.
-        let boundary = existing.rfind('\n').map(|i| i + 1).unwrap_or(0);
-        let (complete, tail) = existing.split_at(boundary);
-        let mut map = HashMap::new();
+        let journal = OpenOptions::new().create(true).append(true).open(&path)?;
+        Ok(DiskCache { path, journal, map, skipped_lines })
+    }
+
+    /// Replays the journal at `path` into `map` one line at a time, so
+    /// replay holds one record in memory rather than the whole file.
+    /// Returns the number of skipped lines.
+    fn replay(
+        mut reader: BufReader<File>,
+        path: &Path,
+        map: &mut HashMap<String, CachedCell>,
+    ) -> std::io::Result<usize> {
+        let mut line = String::new();
         let mut skipped_lines = 0;
-        for line in complete.lines() {
+        // Bytes up to and including the last '\n' read so far.
+        let mut boundary = 0;
+        loop {
+            line.clear();
+            let n = reader.read_line(&mut line)?;
+            if n == 0 {
+                return Ok(skipped_lines);
+            }
+            if !line.ends_with('\n') {
+                // Only '\n'-terminated lines are records: a crash mid-append
+                // leaves a partial tail, and even a tail that happens to
+                // parse (crash between the payload and its newline) is
+                // treated as the one in-flight cell the durability contract
+                // allows losing.
+                if !line.trim().is_empty() {
+                    skipped_lines += 1;
+                }
+                // Trim the partial tail before reopening for append:
+                // appending after it would glue the next record onto the
+                // partial bytes and silently lose that record on the *next*
+                // replay.
+                OpenOptions::new().write(true).open(path)?.set_len(boundary)?;
+                return Ok(skipped_lines);
+            }
+            boundary += n as u64;
             if line.trim().is_empty() {
                 continue;
             }
-            match Self::parse_line(line) {
+            // The parser skips the trailing "\n" (or "\r\n") as whitespace.
+            match Self::parse_line(&line) {
                 Some((key, cell)) => {
                     map.insert(key, cell);
                 }
                 None => skipped_lines += 1,
             }
         }
-        // Trim the partial tail before reopening for append: appending
-        // after it would glue the next record onto the partial bytes and
-        // silently lose that record on the *next* replay.
-        if !tail.is_empty() {
-            if !tail.trim().is_empty() {
-                skipped_lines += 1;
-            }
-            let trim = OpenOptions::new().write(true).open(&path)?;
-            trim.set_len(boundary as u64)?;
-        }
-        let journal = OpenOptions::new().create(true).append(true).open(&path)?;
-        Ok(DiskCache { path, journal, map, skipped_lines })
     }
 
     fn parse_line(line: &str) -> Option<(String, CachedCell)> {

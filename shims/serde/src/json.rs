@@ -1,6 +1,14 @@
 //! The JSON value tree, text writer and parser backing the serde shim.
+//!
+//! Both directions are linear in the text length: the parser visits each
+//! input byte a bounded number of times and never re-validates the rest
+//! of the input, and the writer appends straight into its output. In
+//! strings, each run of bytes up to the next `"` or `\` (parser) or the
+//! next byte needing an escape (writer) is copied as one slice; those
+//! bytes are all ASCII, so every run starts and ends on a char boundary
+//! of the `&str` and needs no UTF-8 re-validation.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed or to-be-written JSON value.
 ///
@@ -143,21 +151,23 @@ impl Value {
     }
 
     fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
-        let (nl, pad, pad_close, sep) = match indent {
-            Some(w) => ("\n", " ".repeat(w * (depth + 1)), " ".repeat(w * depth), ": "),
-            None => ("", String::new(), String::new(), ":"),
-        };
+        // Writing into a `String` cannot fail, so the `fmt::Result`s
+        // below are discarded.
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::U64(x) => out.push_str(&x.to_string()),
-            Value::I64(x) => out.push_str(&x.to_string()),
+            Value::U64(x) => {
+                let _ = write!(out, "{x}");
+            }
+            Value::I64(x) => {
+                let _ = write!(out, "{x}");
+            }
             Value::F64(x) => {
                 if x.is_finite() {
                     // `{:?}` prints the shortest representation that
                     // round-trips, and always includes `.0` for integral
                     // floats so the type survives re-parsing.
-                    out.push_str(&format!("{x:?}"));
+                    let _ = write!(out, "{x:?}");
                 } else {
                     // JSON has no NaN/Inf; null is the conventional stand-in.
                     out.push_str("null");
@@ -174,12 +184,10 @@ impl Value {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push_str(nl);
-                    out.push_str(&pad);
+                    newline(out, indent, depth + 1);
                     item.write(out, indent, depth + 1);
                 }
-                out.push_str(nl);
-                out.push_str(&pad_close);
+                newline(out, indent, depth);
                 out.push(']');
             }
             Value::Object(pairs) => {
@@ -192,33 +200,50 @@ impl Value {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push_str(nl);
-                    out.push_str(&pad);
+                    newline(out, indent, depth + 1);
                     write_json_string(out, k);
-                    out.push_str(sep);
+                    out.push_str(if indent.is_some() { ": " } else { ":" });
                     v.write(out, indent, depth + 1);
                 }
-                out.push_str(nl);
-                out.push_str(&pad_close);
+                newline(out, indent, depth);
                 out.push('}');
             }
         }
     }
 }
 
+/// In pretty mode, a line break and the indentation of nesting `depth`;
+/// nothing in compact mode.
+fn newline(out: &mut String, indent: Option<usize>, depth: usize) {
+    if let Some(w) = indent {
+        out.push('\n');
+        out.extend(std::iter::repeat_n(' ', w * depth));
+    }
+}
+
 fn write_json_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    // Copy each run of bytes that need no escape as one slice. Every byte
+    // that does is ASCII, so a run always ends on a char boundary.
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -249,7 +274,8 @@ impl std::error::Error for Error {}
 ///
 /// Returns [`Error`] (with byte offset) on malformed input.
 pub fn parse(s: &str) -> Result<Value, Error> {
-    let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
+    let mut p =
+        Parser { src: s, bytes: s.as_bytes(), pos: 0, items: Vec::new(), pairs: Vec::new() };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -260,8 +286,14 @@ pub fn parse(s: &str) -> Result<Value, Error> {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Elements of the arrays being parsed, innermost last: each array
+    /// moves its own tail out into an exactly-sized `Vec` when it closes.
+    items: Vec<Value>,
+    /// The same stack for object members.
+    pairs: Vec<(String, Value)>,
 }
 
 impl<'a> Parser<'a> {
@@ -313,21 +345,22 @@ impl<'a> Parser<'a> {
 
     fn array(&mut self) -> Result<Value, Error> {
         self.expect(b'[')?;
-        let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Value::Array(items));
+            return Ok(Value::Array(Vec::new()));
         }
+        let base = self.items.len();
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            let item = self.value()?;
+            self.items.push(item);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Value::Array(items));
+                    return Ok(Value::Array(self.items.drain(base..).collect()));
                 }
                 _ => return Err(self.err("expected `,` or `]` in array")),
             }
@@ -336,12 +369,12 @@ impl<'a> Parser<'a> {
 
     fn object(&mut self) -> Result<Value, Error> {
         self.expect(b'{')?;
-        let mut pairs = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Value::Object(pairs));
+            return Ok(Value::Object(Vec::new()));
         }
+        let base = self.pairs.len();
         loop {
             self.skip_ws();
             let key = self.string()?;
@@ -349,30 +382,44 @@ impl<'a> Parser<'a> {
             self.expect(b':')?;
             self.skip_ws();
             let val = self.value()?;
-            pairs.push((key, val));
+            self.pairs.push((key, val));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Value::Object(pairs));
+                    return Ok(Value::Object(self.pairs.drain(base..).collect()));
                 }
                 _ => return Err(self.err("expected `,` or `}` in object")),
             }
         }
     }
 
+    /// The end of the run of plain string bytes starting at `self.pos`:
+    /// the offset of the next `"` or `\`, or the end of the input.
+    fn run_end(&self) -> usize {
+        self.bytes[self.pos..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .map_or(self.bytes.len(), |n| self.pos + n)
+    }
+
     fn string(&mut self) -> Result<String, Error> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        // `"` and `\` are ASCII, so every run ends on a char boundary of
+        // `src`.
+        let mut end = self.run_end();
+        let mut out = String::with_capacity(end - self.pos);
         loop {
+            out.push_str(&self.src[self.pos..end]);
+            self.pos = end;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                _ => {
                     self.pos += 1;
                     let esc = self.peek().ok_or_else(|| self.err("unterminated escape"))?;
                     self.pos += 1;
@@ -407,15 +454,8 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.err("invalid escape character")),
                     }
                 }
-                Some(_) => {
-                    // Consume one UTF-8 character (input is a valid &str).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().ok_or_else(|| self.err("unexpected end"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
             }
+            end = self.run_end();
         }
     }
 
@@ -457,8 +497,16 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
+        let num = &self.bytes[start..self.pos];
+        // Fast path: a non-negative integer of at most 19 digits cannot
+        // overflow a u64, so it needs no `str::parse`.
+        if !is_float && num.len() <= 19 && num[0] != b'-' {
+            let u = num.iter().fold(0u64, |acc, &d| acc * 10 + u64::from(d - b'0'));
+            return Ok(Value::U64(u));
+        }
+        // Every byte of a number is ASCII, so this slice is on char
+        // boundaries.
+        let text = &self.src[start..self.pos];
         if !is_float {
             if let Ok(u) = text.parse::<u64>() {
                 return Ok(Value::U64(u));
@@ -467,6 +515,7 @@ impl<'a> Parser<'a> {
                 return Ok(Value::I64(i));
             }
         }
+        // Floats keep the standard library's correctly rounded parse.
         text.parse::<f64>().map(Value::F64).map_err(|_| self.err("invalid number"))
     }
 }
@@ -502,6 +551,21 @@ mod tests {
     fn u64_precision_roundtrips() {
         let v = Value::U64(u64::MAX);
         assert_eq!(parse(&v.to_json_compact()).unwrap(), v);
+    }
+
+    #[test]
+    fn integers_keep_their_type_around_the_fast_path() {
+        assert_eq!(parse("9999999999999999999").unwrap(), Value::U64(9_999_999_999_999_999_999));
+        assert_eq!(parse("18446744073709551615").unwrap(), Value::U64(u64::MAX));
+        assert_eq!(
+            parse("18446744073709551616").unwrap(),
+            Value::F64(18_446_744_073_709_551_616.0)
+        );
+        assert_eq!(parse("-9223372036854775808").unwrap(), Value::I64(i64::MIN));
+        assert_eq!(parse("007").unwrap(), Value::U64(7));
+        assert_eq!(parse("-0").unwrap(), Value::I64(0));
+        assert_eq!(parse("1e3").unwrap(), Value::F64(1000.0));
+        assert_eq!(parse("12.0").unwrap(), Value::F64(12.0));
     }
 
     #[test]
