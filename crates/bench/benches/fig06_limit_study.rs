@@ -2,7 +2,7 @@
 //! estimated area) versus the aggregate bandwidth of a zero-latency
 //! network, expressed as a fraction of peak off-chip DRAM bandwidth.
 
-use tenoc_bench::{experiments, header, Preset};
+use tenoc_bench::{experiments, header, run_suites_par, Preset};
 use tenoc_core::area::COMPUTE_AREA_MM2;
 use tenoc_core::harmonic_mean;
 use tenoc_core::presets::bw_limit_flits_per_icnt_cycle;
@@ -11,9 +11,14 @@ fn main() {
     header("Figure 6", "bandwidth limit study with a zero-latency network");
     let scale = experiments::scale_from_env();
 
-    // Reference: infinite bandwidth (perfect network).
-    let perfect = experiments::run_suite(Preset::Perfect, scale);
-    let perfect_hm = harmonic_mean(perfect.iter().map(|r| r.metrics.ipc));
+    let pcts = [0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.2, 1.4, 1.6];
+    // Reference: infinite bandwidth (perfect network), then every cap,
+    // all on one worker pool.
+    let presets: Vec<Preset> = std::iter::once(Preset::Perfect)
+        .chain(pcts.iter().map(|&p| Preset::BwLimited(p)))
+        .collect();
+    let suites = run_suites_par(&presets, scale);
+    let perfect_hm = harmonic_mean(suites[0].iter().map(|r| r.metrics.ipc));
 
     // The baseline mesh's bisection point: 12 links x 16 B at the marked
     // x = 0.816 of the paper.
@@ -28,8 +33,7 @@ fn main() {
     );
     let mut max_te = 0.0f64;
     let mut argmax = 0.0;
-    for pct in [0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.2, 1.4, 1.6] {
-        let results = experiments::run_suite(Preset::BwLimited(pct), scale);
+    for (&pct, results) in pcts.iter().zip(&suites[1..]) {
         let hm = harmonic_mean(results.iter().map(|r| r.metrics.ipc));
         let area = COMPUTE_AREA_MM2 + base_noc_area * (pct / base_frac) * (pct / base_frac);
         let te = hm / area;

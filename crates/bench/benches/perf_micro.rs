@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use tenoc_core::presets::Preset;
 use tenoc_core::system::{System, SystemConfig};
-use tenoc_noc::{ArenaNetwork, Interconnect, NetworkConfig, Packet};
+use tenoc_noc::{ArenaNetwork, Interconnect, NetworkConfig, Packet, Tick};
 use tenoc_workloads::by_name;
 
 fn bench_network_step(c: &mut Criterion) {
@@ -20,7 +20,7 @@ fn bench_network_step(c: &mut Criterion) {
             let src = (i % 28) as usize;
             let dst = mcs[(i % 8) as usize];
             let _ = net.try_inject(src, Packet::request(src, dst, 8, i));
-            net.step();
+            net.tick();
             for &mc in &mcs {
                 while let Some(req) = net.pop(mc) {
                     let _ =

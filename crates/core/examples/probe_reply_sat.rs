@@ -18,7 +18,7 @@ fn reply_saturation(cfg: NetworkConfig, flit_bytes_note: &str) {
                 }
             }
         }
-        net.step();
+        net.tick();
         for &c in &cores {
             while net.pop(c).is_some() {}
         }

@@ -4,10 +4,7 @@
 use crate::clock::{ClockConfig, Clocks, Domain};
 use crate::mc::{McConfig, McNode, McRequest};
 use crate::metrics::RunMetrics;
-use tenoc_noc::{
-    BandwidthLimitedInterconnect, Interconnect, NetworkConfig, NodeId, Packet, PerfectInterconnect,
-    Tick,
-};
+use tenoc_noc::{IdealInterconnect, Interconnect, NetworkConfig, NodeId, Packet, Tick};
 use tenoc_simt::{CoreConfig, KernelSpec, MemRequest, ShaderCore};
 
 /// Tag bit marking write requests inside a network packet.
@@ -83,10 +80,10 @@ impl IcntConfig {
             IcntConfig::Mesh(c) => tenoc_noc::build_network(c, false),
             IcntConfig::Double(c) => tenoc_noc::build_network(c, true),
             IcntConfig::Perfect(c) => {
-                Box::new(PerfectInterconnect::new(c.mesh.len(), c.channel_bytes))
+                Box::new(IdealInterconnect::new(c.mesh.len(), c.channel_bytes, f64::INFINITY))
             }
             IcntConfig::BwLimited(c, flits) => {
-                Box::new(BandwidthLimitedInterconnect::new(c.mesh.len(), c.channel_bytes, *flits))
+                Box::new(IdealInterconnect::new(c.mesh.len(), c.channel_bytes, *flits))
             }
         }
     }
@@ -410,33 +407,6 @@ impl System {
     /// enabled or the network is ideal.
     pub fn telemetry_reports(&self) -> Vec<tenoc_noc::TelemetryReport> {
         self.icnt.telemetry_reports()
-    }
-
-    /// Total read/write requests the cores emitted (debug aid).
-    pub fn debug_core_requests(&self) -> (u64, u64) {
-        let r = self.cores.iter().map(|c| c.stats().read_requests).sum();
-        let w = self.cores.iter().map(|c| c.stats().write_requests).sum();
-        (r, w)
-    }
-
-    /// Prints per-MC DRAM diagnostics (debug aid for experiments).
-    pub fn debug_dram(&self) {
-        for (i, mc) in self.mcs.iter().enumerate() {
-            let d = mc.dram_stats();
-            println!(
-                "  mc{i}: acc={} eff={:.3} rowhit={:.3} act={} pre={} busy={} cyc={} lat={:.1} l2h={:.3} in_blocked={}",
-                d.accepted,
-                d.efficiency(),
-                d.row_hit_rate(),
-                d.activates,
-                d.precharges,
-                d.busy_cycles,
-                d.cycles,
-                d.avg_latency(),
-                mc.l2_stats().hit_rate(),
-                mc.stats().input_blocked,
-            );
-        }
     }
 
     /// Collects metrics at the current instant.

@@ -48,11 +48,11 @@ fn fig20_network_steady_state_allocates_nothing() {
     };
     let mcs = cfg.mc_nodes.clone();
     let cores: Vec<usize> = (0..cfg.mesh.len()).filter(|n| !mcs.contains(n)).collect();
-    let mut net = tenoc_noc::DoubleNetwork::from_single(&cfg);
+    let mut net = tenoc_noc::DoubleNetwork::from_single(&cfg, tenoc_noc::Network::new);
 
     // Sustained many-to-few traffic: every cycle each class attempts a
     // couple of injections; blocked attempts are dropped (backpressure).
-    let drive = |net: &mut tenoc_noc::DoubleNetwork, cycles: u64, tag0: u64| {
+    let drive = |net: &mut tenoc_noc::DoubleNetwork<tenoc_noc::Network>, cycles: u64, tag0: u64| {
         for i in 0..cycles {
             for lane in 0..2u64 {
                 let t = tag0 + i * 2 + lane;

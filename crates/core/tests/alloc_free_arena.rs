@@ -1,7 +1,7 @@
 //! Proves the arena kernel's zero-allocation steady state: after a
 //! warm-up that grows every slab, ring and packet-table row to its peak
 //! occupancy, 1k cycles of the fig. 20 combined design point's
-//! [`ArenaDoubleNetwork`] (checkerboard double network, 2 MC injection
+//! arena-engine `DoubleNetwork` (checkerboard double network, 2 MC injection
 //! ports) under sustained MC-bound traffic perform zero heap allocations
 //! — both disarmed and with telemetry armed, whose buffers are all sized
 //! when it is enabled (DESIGN.md §13).
@@ -13,7 +13,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use tenoc_core::system::IcntConfig;
 use tenoc_core::Preset;
-use tenoc_noc::{ArenaDoubleNetwork, Interconnect, Packet, TelemetryConfig, Tick};
+use tenoc_noc::{ArenaNetwork, DoubleNetwork, Interconnect, Packet, TelemetryConfig, Tick};
 
 struct CountingAlloc;
 
@@ -56,14 +56,14 @@ fn steady_state(armed: bool) {
     };
     let mcs = cfg.mc_nodes.clone();
     let cores: Vec<usize> = (0..cfg.mesh.len()).filter(|n| !mcs.contains(n)).collect();
-    let mut net = ArenaDoubleNetwork::from_single(&cfg);
+    let mut net = DoubleNetwork::from_single(&cfg, ArenaNetwork::new);
     if armed {
         net.enable_telemetry(TelemetryConfig::default());
     }
 
     // Sustained many-to-few traffic: every cycle each class attempts a
     // couple of injections; blocked attempts are dropped (backpressure).
-    let drive = |net: &mut ArenaDoubleNetwork, cycles: u64, tag0: u64| {
+    let drive = |net: &mut DoubleNetwork<ArenaNetwork>, cycles: u64, tag0: u64| {
         for i in 0..cycles {
             for lane in 0..2u64 {
                 let t = tag0 + i * 2 + lane;

@@ -31,7 +31,7 @@ use crate::activeset::ActiveSet;
 use crate::buffer::VcState;
 use crate::config::{NetworkConfig, RouterTiming};
 use crate::interconnect::Interconnect;
-use crate::packet::{EjectedPacket, Packet, PacketClass, PacketHeader, Phase};
+use crate::packet::{EjectedPacket, Packet, PacketHeader, Phase};
 use crate::routing::{self, OutPort};
 use crate::stats::NetStats;
 use crate::telemetry::{NetTelemetry, TelemetryConfig, TelemetryReport};
@@ -419,12 +419,6 @@ impl ArenaNetwork {
             }
         }
         out
-    }
-
-    /// Snapshot of the armed telemetry, labeled `label`; `None` when
-    /// telemetry was never enabled.
-    fn telemetry_report(&self, label: &str) -> Option<TelemetryReport> {
-        self.telemetry.as_deref().map(|t| t.report(label, &self.cfg.mesh, &self.stats))
     }
 
     // --- slab index helpers ---
@@ -1156,116 +1150,25 @@ impl Interconnect for ArenaNetwork {
         self.telemetry = Some(Box::new(NetTelemetry::new(self.n, self.nv, cfg)));
     }
 
-    fn telemetry_reports_into(&self, out: &mut Vec<TelemetryReport>) {
-        out.extend(self.telemetry_report("net"));
-    }
-}
-
-/// Two parallel channel-sliced arena networks (request + reply), the
-/// engine-level twin of [`DoubleNetwork`](crate::network::DoubleNetwork).
-pub struct ArenaDoubleNetwork {
-    request: ArenaNetwork,
-    reply: ArenaNetwork,
-}
-
-impl ArenaDoubleNetwork {
-    /// Builds a double network from a per-subnetwork configuration; the
-    /// reply slice derives its seed exactly like `DoubleNetwork::new`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration declares more than one class per
-    /// subnetwork or fails validation.
-    pub fn new(sub_cfg: NetworkConfig) -> Self {
-        assert_eq!(sub_cfg.vcs.classes, 1, "double network slices carry one class each");
-        let mut reply_cfg = sub_cfg.clone();
-        reply_cfg.seed = sub_cfg.seed.wrapping_add(0x9e37_79b9);
-        ArenaDoubleNetwork {
-            request: ArenaNetwork::new(sub_cfg),
-            reply: ArenaNetwork::new(reply_cfg),
-        }
-    }
-
-    /// Derives a double network from a single-network configuration
-    /// (see `DoubleNetwork::from_single`).
-    pub fn from_single(cfg: &NetworkConfig) -> Self {
-        ArenaDoubleNetwork::new(cfg.slice())
-    }
-
-    /// The request subnetwork.
-    pub fn request_net(&self) -> &ArenaNetwork {
-        &self.request
-    }
-
-    /// The reply subnetwork.
-    pub fn reply_net(&self) -> &ArenaNetwork {
-        &self.reply
-    }
-}
-
-impl Tick for ArenaDoubleNetwork {
-    fn tick(&mut self) {
-        self.request.tick();
-        self.reply.tick();
-    }
-}
-
-impl Interconnect for ArenaDoubleNetwork {
-    fn try_inject(&mut self, node: NodeId, packet: Packet) -> Result<(), Packet> {
-        match packet.header.class {
-            PacketClass::Request => self.request.try_inject(node, packet),
-            PacketClass::Reply => self.reply.try_inject(node, packet),
-        }
-    }
-
-    fn pop(&mut self, node: NodeId) -> Option<EjectedPacket> {
-        self.request.pop(node).or_else(|| self.reply.pop(node))
-    }
-
-    fn cycle(&self) -> u64 {
-        self.request.cycle
-    }
-
-    fn stats(&self) -> NetStats {
-        debug_assert_eq!(
-            self.request.stats.cycles, self.reply.stats.cycles,
-            "double-network slices must share one clock"
-        );
-        let mut s = self.request.stats();
-        s.merge_parallel(&self.reply.stats);
-        s
-    }
-
-    fn in_flight(&self) -> usize {
-        self.request.in_flight() + self.reply.in_flight()
-    }
-
-    fn flit_hops(&self) -> u64 {
-        self.request.flit_hops() + self.reply.flit_hops()
-    }
-
-    fn enable_telemetry(&mut self, cfg: TelemetryConfig) {
-        self.request.enable_telemetry(cfg);
-        self.reply.enable_telemetry(cfg);
-    }
-
-    fn telemetry_reports_into(&self, out: &mut Vec<TelemetryReport>) {
-        out.extend(self.request.telemetry_report("request"));
-        out.extend(self.reply.telemetry_report("reply"));
+    fn telemetry_reports(&self) -> Vec<TelemetryReport> {
+        self.telemetry.iter().map(|t| t.report("net", &self.cfg.mesh, &self.stats)).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::double::DoubleNetwork;
     use crate::network::Network;
 
-    /// Drives the same deterministic traffic into two engines and asserts
-    /// identical per-cycle observables.
-    fn assert_twin(cfg: NetworkConfig, cycles: u64) {
-        let n = cfg.mesh.len();
-        let mut oracle = Network::new(cfg.clone());
-        let mut arena = ArenaNetwork::new(cfg);
+    /// Drives the same deterministic traffic into two interconnects over
+    /// `n` terminals and asserts identical per-cycle observables.
+    fn assert_twin(
+        oracle: &mut impl Interconnect,
+        arena: &mut impl Interconnect,
+        n: usize,
+        cycles: u64,
+    ) {
         for i in 0..cycles {
             for lane in 0..2u64 {
                 let t = i * 2 + lane;
@@ -1298,24 +1201,33 @@ mod tests {
         }
         assert_eq!(oracle.stats(), arena.stats());
         assert_eq!(oracle.flit_hops(), arena.flit_hops());
+        assert!(oracle.flit_hops() > 0, "the traffic crossed links");
+    }
+
+    /// [`assert_twin`] on one mesh, plus the per-link traffic.
+    fn assert_single_twin(cfg: NetworkConfig, cycles: u64) {
+        let n = cfg.mesh.len();
+        let mut oracle = Network::new(cfg.clone());
+        let mut arena = ArenaNetwork::new(cfg);
+        assert_twin(&mut oracle, &mut arena, n, cycles);
         assert_eq!(oracle.link_loads(), arena.link_loads());
     }
 
     #[test]
     fn arena_matches_oracle_on_baseline_mesh() {
-        assert_twin(NetworkConfig::baseline_mesh(4), 300);
+        assert_single_twin(NetworkConfig::baseline_mesh(4), 300);
     }
 
     #[test]
     fn arena_matches_oracle_on_checkerboard() {
-        assert_twin(NetworkConfig::checkerboard_mesh(6), 300);
+        assert_single_twin(NetworkConfig::checkerboard_mesh(6), 300);
     }
 
     #[test]
     fn arena_matches_oracle_output_first() {
         let mut cfg = NetworkConfig::baseline_mesh(4);
         cfg.allocator = crate::config::AllocatorKind::OutputFirst;
-        assert_twin(cfg, 300);
+        assert_single_twin(cfg, 300);
     }
 
     #[test]
@@ -1323,7 +1235,16 @@ mod tests {
         let cfg = NetworkConfig::checkerboard_mesh(6);
         let mut sliced = cfg.slice();
         sliced.mc_inject_ports = 4;
-        assert_twin(sliced, 200);
+        assert_single_twin(sliced, 200);
+    }
+
+    /// The double-network wrapper behaves the same over either engine.
+    #[test]
+    fn arena_matches_oracle_double_network() {
+        let cfg = NetworkConfig::checkerboard_mesh(6);
+        let mut oracle = DoubleNetwork::from_single(&cfg, Network::new);
+        let mut arena = DoubleNetwork::from_single(&cfg, ArenaNetwork::new);
+        assert_twin(&mut oracle, &mut arena, cfg.mesh.len(), 300);
     }
 
     /// Telemetry reproduces the lone packet's path: link counters match
@@ -1411,24 +1332,6 @@ mod tests {
         let report = &net.telemetry_reports()[0];
         assert!(!report.flight.is_empty());
         assert!(report.flight.iter().all(|e| e.packet == report.flight[0].packet));
-    }
-
-    /// The double network arms both slices and yields one labeled report
-    /// per slice.
-    #[test]
-    fn double_network_reports_both_slices() {
-        let mut dn = ArenaDoubleNetwork::from_single(&NetworkConfig::baseline_mesh(6));
-        dn.enable_telemetry(TelemetryConfig::default());
-        dn.try_inject(0, Packet::request(0, 10, 8, 1)).unwrap();
-        dn.try_inject(10, Packet::reply(10, 0, 64, 2)).unwrap();
-        dn.tick_n(300);
-        let reports = dn.telemetry_reports();
-        assert_eq!(reports.len(), 2);
-        assert_eq!(reports[0].label, "request");
-        assert_eq!(reports[1].label, "reply");
-        assert_eq!(reports[0].hist.total[0].count(), 1, "request slice saw the request");
-        assert_eq!(reports[1].hist.total[1].count(), 1, "reply slice saw the reply");
-        assert!(reports.iter().all(|r| !r.flight.is_empty()));
     }
 
     /// A drained network's tick touches zero routers: the first tick

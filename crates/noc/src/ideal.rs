@@ -1,14 +1,13 @@
-//! Idealized interconnect models used in the paper's limit studies.
+//! The idealized interconnect of the paper's limit studies.
 //!
-//! * [`PerfectInterconnect`]: zero latency, infinite bandwidth — the
-//!   "perfect network" of Figures 7/8 and the `Ideal NoC` point of
-//!   Figure 2.
-//! * [`BandwidthLimitedInterconnect`]: zero latency once a flit is
-//!   accepted, but a cap on the total flits accepted per cycle across the
-//!   whole network — the limit-study network of Figure 6. Multiple sources
-//!   may transmit to a destination in one cycle and a source may send
-//!   multiple flits in one cycle; a packet is accepted provided the
-//!   bandwidth budget has not already been exhausted this cycle.
+//! [`IdealInterconnect`] has zero latency once a packet is accepted and a
+//! cap on the total flits accepted per cycle across the whole network.
+//! With the cap at `f64::INFINITY` it is the "perfect network" of
+//! Figures 7/8 and the `Ideal NoC` point of Figure 2; with a finite cap it
+//! is the limit-study network of Figure 6. Multiple sources may transmit
+//! to a destination in one cycle and a source may send multiple flits in
+//! one cycle; a packet is accepted provided the bandwidth budget has not
+//! already been exhausted this cycle.
 
 use crate::interconnect::Interconnect;
 use crate::packet::{EjectedPacket, Packet, PacketHeader};
@@ -17,75 +16,8 @@ use crate::tick::Tick;
 use crate::types::NodeId;
 use std::collections::VecDeque;
 
-/// Zero-latency, infinite-bandwidth network.
-pub struct PerfectInterconnect {
-    queues: Vec<VecDeque<EjectedPacket>>,
-    cycle: u64,
-    stats: NetStats,
-    next_id: u64,
-    flit_bytes: u32,
-}
-
-impl PerfectInterconnect {
-    /// Creates a perfect network over `nodes` terminals. `flit_bytes` is
-    /// used only to account flit counts in the statistics.
-    pub fn new(nodes: usize, flit_bytes: u32) -> Self {
-        PerfectInterconnect {
-            queues: (0..nodes).map(|_| VecDeque::new()).collect(),
-            cycle: 0,
-            stats: NetStats::new(nodes),
-            next_id: 1,
-            flit_bytes,
-        }
-    }
-}
-
-impl Tick for PerfectInterconnect {
-    fn tick(&mut self) {
-        self.cycle += 1;
-        self.stats.cycles += 1;
-    }
-}
-
-impl Interconnect for PerfectInterconnect {
-    fn try_inject(&mut self, node: NodeId, mut packet: Packet) -> Result<(), Packet> {
-        self.stats.inject_attempts_by_node[node] += 1;
-        let flits = packet.flits_at_width(self.flit_bytes);
-        let hdr = &mut packet.header;
-        hdr.src = node;
-        hdr.id = self.next_id;
-        self.next_id += 1;
-        hdr.flits = flits;
-        if hdr.created == PacketHeader::CREATED_UNSET {
-            hdr.created = self.cycle;
-        }
-        hdr.injected = self.cycle;
-        self.stats.injected_flits_by_node[node] += flits as u64;
-        let out = EjectedPacket { header: packet.header, ejected: self.cycle };
-        self.stats.record_ejection(&out);
-        self.queues[packet.header.dst].push_back(out);
-        Ok(())
-    }
-
-    fn pop(&mut self, node: NodeId) -> Option<EjectedPacket> {
-        self.queues[node].pop_front()
-    }
-
-    fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
-    fn stats(&self) -> NetStats {
-        self.stats.clone()
-    }
-
-    fn in_flight(&self) -> usize {
-        0
-    }
-}
-
 /// Zero-latency network with a global aggregate-bandwidth cap.
-pub struct BandwidthLimitedInterconnect {
+pub struct IdealInterconnect {
     queues: Vec<VecDeque<EjectedPacket>>,
     cycle: u64,
     stats: NetStats,
@@ -95,15 +27,22 @@ pub struct BandwidthLimitedInterconnect {
     flits_per_cycle: f64,
     /// Remaining budget this cycle (may go slightly negative: a packet is
     /// accepted whenever the budget is still positive, as in the paper).
+    /// An infinite cap keeps it at `INFINITY`: it never blocks.
     budget: f64,
 }
 
-impl BandwidthLimitedInterconnect {
-    /// Creates a bandwidth-limited network accepting at most
-    /// `flits_per_cycle` flits per cycle in aggregate.
+impl IdealInterconnect {
+    /// Creates an ideal network over `nodes` terminals accepting at most
+    /// `flits_per_cycle` flits per cycle in aggregate (`f64::INFINITY`
+    /// for the perfect network). `flit_bytes` sets how many flits a
+    /// packet counts against the cap and in the statistics.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cap is not positive.
     pub fn new(nodes: usize, flit_bytes: u32, flits_per_cycle: f64) -> Self {
         assert!(flits_per_cycle > 0.0, "bandwidth cap must be positive");
-        BandwidthLimitedInterconnect {
+        IdealInterconnect {
             queues: (0..nodes).map(|_| VecDeque::new()).collect(),
             cycle: 0,
             stats: NetStats::new(nodes),
@@ -113,14 +52,9 @@ impl BandwidthLimitedInterconnect {
             budget: flits_per_cycle,
         }
     }
-
-    /// The configured aggregate cap, in flits per cycle.
-    pub fn flits_per_cycle(&self) -> f64 {
-        self.flits_per_cycle
-    }
 }
 
-impl Tick for BandwidthLimitedInterconnect {
+impl Tick for IdealInterconnect {
     fn tick(&mut self) {
         self.cycle += 1;
         self.stats.cycles += 1;
@@ -130,7 +64,7 @@ impl Tick for BandwidthLimitedInterconnect {
     }
 }
 
-impl Interconnect for BandwidthLimitedInterconnect {
+impl Interconnect for IdealInterconnect {
     fn try_inject(&mut self, node: NodeId, mut packet: Packet) -> Result<(), Packet> {
         self.stats.inject_attempts_by_node[node] += 1;
         if self.budget <= 0.0 {
@@ -148,7 +82,7 @@ impl Interconnect for BandwidthLimitedInterconnect {
         }
         hdr.injected = self.cycle;
         self.budget -= flits as f64;
-        self.stats.injected_flits_by_node[node] += hdr.flits as u64;
+        self.stats.injected_flits_by_node[node] += flits as u64;
         let out = EjectedPacket { header: packet.header, ejected: self.cycle };
         self.stats.record_ejection(&out);
         self.queues[packet.header.dst].push_back(out);
@@ -178,7 +112,7 @@ mod tests {
 
     #[test]
     fn perfect_delivers_same_cycle() {
-        let mut net = PerfectInterconnect::new(4, 16);
+        let mut net = IdealInterconnect::new(4, 16, f64::INFINITY);
         net.try_inject(0, Packet::request(0, 3, 8, 42)).unwrap();
         let p = net.pop(3).expect("delivered instantly");
         assert_eq!(p.header.tag, 42);
@@ -187,21 +121,25 @@ mod tests {
 
     #[test]
     fn perfect_never_blocks() {
-        let mut net = PerfectInterconnect::new(2, 16);
+        let mut net = IdealInterconnect::new(2, 16, f64::INFINITY);
         for i in 0..1000 {
             net.try_inject(0, Packet::reply(0, 1, 64, i)).unwrap();
+            if i % 10 == 0 {
+                net.tick();
+            }
         }
         assert_eq!(net.stats().packets[1], 1000);
+        assert_eq!(net.budget, f64::INFINITY, "an infinite budget never drains or turns NaN");
     }
 
     #[test]
     fn bandwidth_cap_enforced_per_cycle() {
         // Cap of 2 flits/cycle; 1-flit packets.
-        let mut net = BandwidthLimitedInterconnect::new(4, 16, 2.0);
+        let mut net = IdealInterconnect::new(4, 16, 2.0);
         assert!(net.try_inject(0, Packet::request(0, 1, 8, 0)).is_ok());
         assert!(net.try_inject(0, Packet::request(0, 1, 8, 1)).is_ok());
         assert!(net.try_inject(0, Packet::request(0, 1, 8, 2)).is_err(), "budget exhausted");
-        net.step();
+        net.tick();
         assert!(net.try_inject(0, Packet::request(0, 1, 8, 3)).is_ok(), "budget replenished");
     }
 
@@ -209,28 +147,28 @@ mod tests {
     fn oversized_packet_accepted_when_budget_positive() {
         // A 4-flit packet is accepted when any budget remains (paper
         // semantics) and the deficit carries over.
-        let mut net = BandwidthLimitedInterconnect::new(4, 16, 1.0);
+        let mut net = IdealInterconnect::new(4, 16, 1.0);
         assert!(net.try_inject(0, Packet::reply(0, 1, 64, 0)).is_ok());
         assert!(net.try_inject(0, Packet::request(0, 1, 8, 1)).is_err());
-        net.step();
+        net.tick();
         // Deficit of 3 flits + 1 replenished = -2: still blocked.
         assert!(net.try_inject(0, Packet::request(0, 1, 8, 2)).is_err());
-        net.step();
-        net.step();
-        net.step();
+        net.tick();
+        net.tick();
+        net.tick();
         assert!(net.try_inject(0, Packet::request(0, 1, 8, 3)).is_ok());
     }
 
     #[test]
     fn throughput_matches_cap_under_saturation() {
-        let mut net = BandwidthLimitedInterconnect::new(8, 16, 3.5);
+        let mut net = IdealInterconnect::new(8, 16, 3.5);
         let cycles = 1000;
         for _ in 0..cycles {
             // Offer far more than the cap.
             for _ in 0..16 {
                 let _ = net.try_inject(0, Packet::request(0, 1, 8, 0));
             }
-            net.step();
+            net.tick();
         }
         let accepted = net.stats().total_flits() as f64 / cycles as f64;
         assert!((accepted - 3.5).abs() < 0.1, "accepted {accepted} flits/cycle, cap 3.5");

@@ -2,9 +2,10 @@
 //! implementation (real mesh, double network, or idealized models), and
 //! the one place that decides which engine simulates a physical network.
 
-use crate::arena::{ArenaDoubleNetwork, ArenaNetwork};
+use crate::arena::ArenaNetwork;
 use crate::config::NetworkConfig;
-use crate::network::{DoubleNetwork, Network};
+use crate::double::DoubleNetwork;
+use crate::network::Network;
 use crate::packet::{EjectedPacket, Packet};
 use crate::stats::NetStats;
 use crate::telemetry::{TelemetryConfig, TelemetryReport};
@@ -13,17 +14,14 @@ use crate::types::NodeId;
 
 /// A network as seen from its terminals.
 ///
-/// Implementations: [`crate::ArenaNetwork`] / [`crate::ArenaDoubleNetwork`]
-/// (the production engine for one mesh / two channel-sliced meshes),
-/// [`crate::Network`] / [`crate::DoubleNetwork`] (the per-router engine
-/// for the same two),
-/// [`crate::PerfectInterconnect`] (zero latency, infinite bandwidth) and
-/// [`crate::BandwidthLimitedInterconnect`] (zero latency, capped aggregate
-/// bandwidth).
+/// Implementations: [`crate::ArenaNetwork`] (the production engine for
+/// one mesh), [`crate::Network`] (the per-router reference engine for the
+/// same), [`crate::DoubleNetwork`] (two channel-sliced meshes on either
+/// engine) and [`crate::IdealInterconnect`] (zero latency, with a capped
+/// or infinite aggregate bandwidth).
 ///
 /// Cycle advancement comes from the [`Tick`] supertrait: every
-/// implementation's clock edge is `Tick::tick`, and [`Interconnect::step`]
-/// is a provided alias kept for terminal-side callers.
+/// implementation's clock edge is `Tick::tick`.
 pub trait Interconnect: Tick {
     /// Offers a packet for injection at `node`.
     ///
@@ -38,12 +36,7 @@ pub trait Interconnect: Tick {
     /// Removes the next packet ejected at `node`, if any.
     fn pop(&mut self, node: NodeId) -> Option<EjectedPacket>;
 
-    /// Advances the interconnect by one cycle (alias for [`Tick::tick`]).
-    fn step(&mut self) {
-        self.tick();
-    }
-
-    /// Current cycle (number of `step` calls so far).
+    /// Current cycle (number of `tick` calls so far).
     fn cycle(&self) -> u64;
 
     /// Snapshot of aggregate statistics.
@@ -68,20 +61,12 @@ pub trait Interconnect: Tick {
     /// takes the same path at the same cycle.
     fn enable_telemetry(&mut self, _cfg: TelemetryConfig) {}
 
-    /// Appends snapshots of every physical network's telemetry into a
-    /// caller-provided buffer: one report for a single mesh, two
-    /// (request + reply) for a double network, none for ideal networks
-    /// or when telemetry was never enabled. The buffer is *not* cleared,
-    /// so callers can reuse one `Vec` across reads without reallocating.
-    fn telemetry_reports_into(&self, _out: &mut Vec<TelemetryReport>) {}
-
-    /// Convenience wrapper over [`Interconnect::telemetry_reports_into`]
-    /// that allocates a fresh `Vec`. Hot paths should reuse a buffer via
-    /// the `_into` form instead.
+    /// Snapshots of every physical network's telemetry: one report for
+    /// a single mesh, two (request + reply) for a double network, none
+    /// for ideal networks, the per-router engine, or when telemetry was
+    /// never enabled.
     fn telemetry_reports(&self) -> Vec<TelemetryReport> {
-        let mut out = Vec::new();
-        self.telemetry_reports_into(&mut out);
-        out
+        Vec::new()
     }
 }
 
@@ -110,13 +95,13 @@ pub fn uses_arena(cfg: &NetworkConfig, sliced: bool) -> bool {
 pub fn build_network(cfg: &NetworkConfig, sliced: bool) -> Box<dyn Interconnect> {
     match (sliced, uses_arena(cfg, sliced)) {
         (false, true) => Box::new(ArenaNetwork::new(cfg.clone())),
-        (true, true) => Box::new(ArenaDoubleNetwork::from_single(cfg)),
+        (true, true) => Box::new(DoubleNetwork::from_single(cfg, ArenaNetwork::new)),
         _ => build_reference_network(cfg, sliced),
     }
 }
 
-/// Builds the per-router reference engine ([`Network`], or
-/// [`DoubleNetwork`] when `sliced` is set) for any shape. Its uses are
+/// Builds the per-router reference engine ([`Network`], or a
+/// [`DoubleNetwork`] of two when `sliced` is set) for any shape. Its uses are
 /// shapes the arena cannot pack (where telemetry is a no-op: only the
 /// arena carries the instruments) and differential checks of the arena
 /// against it.
@@ -126,7 +111,7 @@ pub fn build_network(cfg: &NetworkConfig, sliced: bool) -> Box<dyn Interconnect>
 /// As [`build_network`].
 pub fn build_reference_network(cfg: &NetworkConfig, sliced: bool) -> Box<dyn Interconnect> {
     if sliced {
-        Box::new(DoubleNetwork::from_single(cfg))
+        Box::new(DoubleNetwork::from_single(cfg, Network::new))
     } else {
         Box::new(Network::new(cfg.clone()))
     }

@@ -1,5 +1,5 @@
 //! A complete single physical network (routers + channels + network
-//! interfaces), and the channel-sliced double network.
+//! interfaces).
 //!
 //! This is the per-router reference engine: one cycle is the plain
 //! four-stage sweep (deliver, eject credits, NI, router) over every node,
@@ -12,7 +12,7 @@
 use crate::channel::Channel;
 use crate::config::NetworkConfig;
 use crate::interconnect::Interconnect;
-use crate::packet::{EjectedPacket, Packet, PacketClass, PacketHeader};
+use crate::packet::{EjectedPacket, Packet, PacketHeader};
 use crate::router::{RouteCtx, Router, RouterOutputs};
 use crate::routing::{self};
 use crate::stats::NetStats;
@@ -102,11 +102,6 @@ impl Network {
     /// The network's configuration.
     pub fn config(&self) -> &NetworkConfig {
         &self.cfg
-    }
-
-    /// `true` if all injection ports at `node` are busy streaming a packet.
-    pub fn inject_ports_busy(&self, node: NodeId) -> bool {
-        self.ni[node].iter().all(Option::is_some)
     }
 
     /// Per-link traffic: `(source node, direction, flits carried)` for
@@ -324,126 +319,16 @@ impl Interconnect for Network {
     }
 }
 
-/// Two parallel channel-sliced networks: one dedicated to requests, one to
-/// replies (paper Section IV-C).
-///
-/// Each subnetwork runs at half the channel width of the single network it
-/// replaces, keeping total bisection bandwidth constant while shrinking
-/// crossbar area quadratically. Because classes are physically separated,
-/// no virtual channels are needed for protocol deadlock avoidance.
-pub struct DoubleNetwork {
-    request: Network,
-    reply: Network,
-}
-
-impl DoubleNetwork {
-    /// Builds a double network from a per-subnetwork configuration.
-    ///
-    /// `sub_cfg.channel_bytes` is the width of *each* slice (e.g. 8 bytes
-    /// to match a 16-byte single network), and its VC layout should carry
-    /// a single class.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration declares more than one class per
-    /// subnetwork or fails validation.
-    pub fn new(sub_cfg: NetworkConfig) -> Self {
-        assert_eq!(sub_cfg.vcs.classes, 1, "double network slices carry one class each");
-        let mut reply_cfg = sub_cfg.clone();
-        reply_cfg.seed = sub_cfg.seed.wrapping_add(0x9e37_79b9);
-        DoubleNetwork { request: Network::new(sub_cfg), reply: Network::new(reply_cfg) }
-    }
-
-    /// Derives a double network from a single-network configuration by
-    /// halving the channel width and splitting the VC layout.
-    ///
-    /// Channel slicing shrinks the *fabric* datapath, not the terminal
-    /// interface: the MC network interfaces still move the original
-    /// channel width per cycle, so each slice's MC routers carry
-    /// `slice factor x` the configured local ports. (The paper's
-    /// Figure 18 — double network ~= single network — requires terminal
-    /// bandwidth to be preserved; Table VI's area accounting likewise
-    /// charges extra *16-byte-equivalent* ports only for the explicit 2P
-    /// design.)
-    ///
-    /// # Panics
-    ///
-    /// Panics if the single network's channel width is not even.
-    pub fn from_single(cfg: &NetworkConfig) -> Self {
-        DoubleNetwork::new(cfg.slice())
-    }
-
-    /// The request subnetwork.
-    pub fn request_net(&self) -> &Network {
-        &self.request
-    }
-
-    /// The reply subnetwork.
-    pub fn reply_net(&self) -> &Network {
-        &self.reply
-    }
-
-    fn net_mut(&mut self, class: PacketClass) -> &mut Network {
-        match class {
-            PacketClass::Request => &mut self.request,
-            PacketClass::Reply => &mut self.reply,
-        }
-    }
-}
-
-impl Tick for DoubleNetwork {
-    fn tick(&mut self) {
-        for net in [&mut self.request, &mut self.reply] {
-            net.tick();
-        }
-    }
-}
-
-impl Interconnect for DoubleNetwork {
-    fn try_inject(&mut self, node: NodeId, packet: Packet) -> Result<(), Packet> {
-        self.net_mut(packet.header.class).try_inject(node, packet)
-    }
-
-    fn pop(&mut self, node: NodeId) -> Option<EjectedPacket> {
-        self.request.pop(node).or_else(|| self.reply.pop(node))
-    }
-
-    fn cycle(&self) -> u64 {
-        self.request.cycle()
-    }
-
-    fn stats(&self) -> NetStats {
-        // The slices tick in lockstep (see `Tick for DoubleNetwork`), so
-        // they satisfy merge_parallel's same-window contract by
-        // construction; the assert guards against a future skewed-clock
-        // refactor silently inflating rates.
-        debug_assert_eq!(
-            self.request.stats.cycles, self.reply.stats.cycles,
-            "double-network slices must share one clock"
-        );
-        let mut s = self.request.stats();
-        s.merge_parallel(&self.reply.stats);
-        s
-    }
-
-    fn in_flight(&self) -> usize {
-        self.request.in_flight() + self.reply.in_flight()
-    }
-
-    fn flit_hops(&self) -> u64 {
-        self.request.flit_hops() + self.reply.flit_hops()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{NetworkConfig, RoutingKind, VcLayout};
+    use crate::packet::PacketClass;
     use crate::types::Coord;
 
     fn run_until_delivered(net: &mut Network, dst: NodeId, max: u64) -> EjectedPacket {
         for _ in 0..max {
-            net.step();
+            net.tick();
             if let Some(p) = net.pop(dst) {
                 return p;
             }
@@ -531,7 +416,7 @@ mod tests {
         }
         let mut got = 0u64;
         for _ in 0..2000 {
-            net.step();
+            net.tick();
             for &mc in &mcs {
                 while let Some(p) = net.pop(mc) {
                     assert_eq!(p.header.tag, p.header.src as u64);
@@ -556,7 +441,7 @@ mod tests {
         }
         let mut got = 0;
         for _ in 0..3000 {
-            net.step();
+            net.tick();
             for &core in &cores {
                 while net.pop(core).is_some() {
                     got += 1;
@@ -583,25 +468,6 @@ mod tests {
         assert_eq!(s.inject_blocked_by_node[mc], 1);
     }
 
-    /// The double network segregates classes onto separate slices.
-    #[test]
-    fn double_network_separates_classes() {
-        let cfg = NetworkConfig::baseline_mesh(6);
-        let mut dn = DoubleNetwork::from_single(&cfg);
-        dn.try_inject(0, Packet::request(0, 10, 8, 1)).unwrap();
-        dn.try_inject(10, Packet::reply(10, 0, 64, 2)).unwrap();
-        for _ in 0..300 {
-            dn.step();
-        }
-        let req = dn.pop(10).expect("request delivered");
-        assert_eq!(req.header.class, PacketClass::Request);
-        // 8-byte slices: a 64-byte reply is 8 flits.
-        let rep = dn.pop(0).expect("reply delivered");
-        assert_eq!(rep.header.flits, 8);
-        assert_eq!(dn.request_net().stats().packets[0], 1);
-        assert_eq!(dn.reply_net().stats().packets[1], 1);
-    }
-
     /// Saturating one VC must not corrupt packet ordering or contents.
     #[test]
     fn heavy_contention_preserves_integrity() {
@@ -615,7 +481,7 @@ mod tests {
         let mut delivered = 0;
         for _ in 0..5000 {
             pending.retain(|&p| net.try_inject(p.header.src, p).is_err());
-            net.step();
+            net.tick();
             while let Some(p) = net.pop(dst) {
                 assert_eq!(p.header.tag, p.header.src as u64);
                 delivered += 1;
@@ -647,7 +513,7 @@ mod tests {
         // 0 -> 3: three eastward hops along row 0, one flit.
         net.try_inject(0, Packet::request(0, 3, 8, 0)).unwrap();
         for _ in 0..100 {
-            net.step();
+            net.tick();
         }
         net.pop(3).expect("delivered");
         let loads = net.link_loads();
@@ -669,7 +535,7 @@ mod tests {
         net.try_inject(0, Packet::request(0, 2, 8, 0)).unwrap();
         net.try_inject(14, Packet::reply(14, 20, 64, 0)).unwrap();
         for _ in 0..200 {
-            net.step();
+            net.tick();
         }
         net.pop(2).unwrap();
         net.pop(20).unwrap();
@@ -693,7 +559,7 @@ mod tests {
         ];
         for _ in 0..1000 {
             pending.retain(|&p| net.try_inject(0, p).is_err());
-            net.step();
+            net.tick();
             while let Some(p) = net.pop(4) {
                 delivered.push(p.header.tag);
             }
@@ -713,7 +579,7 @@ mod tests {
         let mut delivered = 0;
         for _ in 0..5000 {
             pending.retain(|&p| net.try_inject(p.header.src, p).is_err());
-            net.step();
+            net.tick();
             for &mc in &mcs {
                 while let Some(p) = net.pop(mc) {
                     assert_eq!(p.header.tag, p.header.src as u64);

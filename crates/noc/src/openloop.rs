@@ -244,7 +244,7 @@ pub fn run_open_loop_on(cfg: &OpenLoopConfig, net: &mut dyn Interconnect) -> Ope
                 }
             }
         }
-        net.step();
+        net.tick();
     }
 
     let per_node_cycle = |x: u64| x as f64 / cfg.measure as f64 / nodes as f64;

@@ -169,7 +169,7 @@ pub fn run_synthetic(cfg: &SynthConfig) -> SynthResult {
                 }
             }
         }
-        net.step();
+        net.tick();
         for node in 0..nodes {
             while let Some(out) = net.pop(node) {
                 if out.header.tag == 1 {

@@ -1,10 +1,11 @@
 //! The shared cycle-kernel trait.
 //!
-//! Everything that advances in lockstep with some clock — a single
-//! [`Network`](crate::network::Network), the channel-sliced
-//! [`DoubleNetwork`](crate::network::DoubleNetwork), the ideal
-//! interconnect models, and the system's per-domain clock slices —
-//! implements [`Tick`]. One `tick` is exactly one cycle of the
+//! Everything that advances in lockstep with some clock — either engine's
+//! single mesh ([`ArenaNetwork`](crate::arena::ArenaNetwork),
+//! [`Network`](crate::network::Network)), the channel-sliced
+//! [`DoubleNetwork`](crate::double::DoubleNetwork), the
+//! [`IdealInterconnect`](crate::ideal::IdealInterconnect), and the
+//! system's per-domain clock slices — implements [`Tick`]. One `tick` is exactly one cycle of the
 //! component's own clock; callers that multiplex several clock domains
 //! (see `tenoc-core`'s `Clocks`) decide *when* to tick, the component
 //! decides *what* a cycle means.

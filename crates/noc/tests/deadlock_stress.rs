@@ -32,7 +32,7 @@ fn stress(mut net: impl Interconnect, cfg: &NetworkConfig, packets: usize, seed:
     let mut cycle = 0u64;
     while delivered < packets {
         pending.retain(|&p| net.try_inject(p.header.src, p).is_err());
-        net.step();
+        net.tick();
         cycle += 1;
         for node in 0..cfg.mesh.len() {
             while net.pop(node).is_some() {
@@ -68,7 +68,7 @@ fn dor_tiny_buffers_no_deadlock() {
 #[test]
 fn double_network_heavy_load_no_deadlock() {
     let cfg = NetworkConfig::checkerboard_mesh(6);
-    let dn = DoubleNetwork::from_single(&cfg);
+    let dn = DoubleNetwork::from_single(&cfg, Network::new);
     stress(dn, &cfg, 1200, 33);
 }
 

@@ -7,7 +7,7 @@ use rand::SeedableRng;
 use tenoc_noc::routing::{plan_injection, plan_options, trace_path};
 use tenoc_noc::{
     Coord, Interconnect, Mesh, Network, NetworkConfig, Packet, PacketClass, Phase, RoutingKind,
-    VcLayout,
+    Tick, VcLayout,
 };
 
 // Checkerboard routes between all legal endpoint pairs are minimal and
@@ -126,7 +126,7 @@ proptest! {
         let mut got = std::collections::HashMap::new();
         for _ in 0..20_000 {
             pending.retain(|&p| net.try_inject(p.header.src, p).is_err());
-            net.step();
+            net.tick();
             for node in 0..36 {
                 while let Some(out) = net.pop(node) {
                     prop_assert_eq!(out.header.dst, node);
@@ -164,7 +164,7 @@ proptest! {
             .collect();
         for _ in 0..20_000 {
             pending.retain(|&p| net.try_inject(p.header.src, p).is_err());
-            net.step();
+            net.tick();
             for node in 0..36 {
                 while net.pop(node).is_some() {}
             }

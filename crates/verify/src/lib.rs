@@ -478,7 +478,10 @@ mod tests {
         // (exercises the memoized audit path twice).
         let _ = tenoc_noc::Network::new(NetworkConfig::checkerboard_mesh(6));
         let _ = tenoc_noc::Network::new(NetworkConfig::checkerboard_mesh(6));
-        let _ = tenoc_noc::DoubleNetwork::from_single(&NetworkConfig::baseline_mesh(6));
+        let _ = tenoc_noc::DoubleNetwork::from_single(
+            &NetworkConfig::baseline_mesh(6),
+            tenoc_noc::Network::new,
+        );
     }
 
     /// A config that passes `validate()` but fails verification (an MC on

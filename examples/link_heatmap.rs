@@ -8,7 +8,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use tenoc::noc::openloop::TrafficPattern;
-use tenoc::noc::{ArenaNetwork, Interconnect, Mesh, NetworkConfig, Packet, Placement};
+use tenoc::noc::{ArenaNetwork, Interconnect, Mesh, NetworkConfig, Packet, Placement, Tick};
 
 /// Drives request/reply traffic for `cycles` and returns (network, cycles).
 fn drive(cfg: NetworkConfig, rate: f64, cycles: u64) -> ArenaNetwork {
@@ -26,7 +26,7 @@ fn drive(cfg: NetworkConfig, rate: f64, cycles: u64) -> ArenaNetwork {
             }
         }
         backlog.retain(|&p| net.try_inject(p.header.src, p).is_err());
-        net.step();
+        net.tick();
         for &mc in &mcs {
             while let Some(req) = net.pop(mc) {
                 backlog.push(Packet::reply(mc, req.header.src, 64, 0));
